@@ -2,7 +2,6 @@
 
 __version__ = "0.1.0"
 
-from ._accel import USING_NUMBA
 from .clustering import (
     Dendrogram,
     Partition,
@@ -29,10 +28,8 @@ from .generators import (
     uniform_spec,
 )
 from .graph import (
-    DegreeData,
     Graph,
     build_graph,
-    degree_data,
     is_connected,
     laplacian,
     shortest_path_matrix,
@@ -57,7 +54,6 @@ from .evaluation import (
     SweepResult,
     TournamentResult,
     average_reject_curves,
-    best_params_table,
     copeland_tournament,
     parameter_grid,
     reject_curve,

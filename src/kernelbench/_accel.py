@@ -1,37 +1,12 @@
 """Hot inner loops: Ward merge sequence, BFS and Dijkstra all-pairs distances.
 
-Every kernel has a numba fast path and an equivalent pure-numpy fallback.
-The two lanes use the same floating-point operation order, so they produce
-bit-identical outputs (covered by tests).  Selection is automatic: numba is
-used when importable.  Set ``KERNELBENCH_BACKEND=numpy`` to force the
-fallback lane, or ``KERNELBENCH_BACKEND=numba`` to fail loudly when numba
-is unavailable.  ``benchmarks/bench_backends.py`` compares the two lanes.
+Each is a numpy kernel whose floating-point operation order is fixed, so
+identical inputs give bit-identical outputs on every run and worker.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    _HAVE_NUMBA = False
-
-_requested = os.environ.get("KERNELBENCH_BACKEND", "").strip().lower()
-if _requested == "numpy":
-    USING_NUMBA = False
-elif _requested == "numba":
-    if not _HAVE_NUMBA:
-        raise ImportError("KERNELBENCH_BACKEND=numba but numba is not installed")
-    USING_NUMBA = True
-elif _requested == "":
-    USING_NUMBA = _HAVE_NUMBA
-else:
-    raise ValueError(f"unknown KERNELBENCH_BACKEND: {_requested!r}")
 
 # Merge costs closer than this are considered tied; the lexicographically
 # smallest (i, j) slot pair wins.
@@ -42,16 +17,19 @@ TIE_TOL = 1e-12
 # Ward linkage merge sequence
 # ---------------------------------------------------------------------------
 
-def _ward_merges_numpy(sqdist: np.ndarray) -> np.ndarray:
-    """Ward merge sequence from a squared-distance matrix, numpy lane.
+def ward_merges(sqdist: np.ndarray) -> np.ndarray:
+    """Ward merge sequence from a squared-distance matrix.
 
     Returns an (n-1, 4) array of (id_a, id_b, merge_cost, new_size) rows,
     ids in the usual linkage convention: originals 0..n-1, the cluster made
     at step s gets id n+s.  Costs are within-cluster variance increases
     (singleton pairs start at sqdist/2).
     """
-    n = sqdist.shape[0]
-    w = sqdist / 2.0
+    d = np.ascontiguousarray(sqdist, dtype=np.float64)
+    n = d.shape[0]
+    if n < 2:
+        return np.empty((0, 4), dtype=np.float64)
+    w = d / 2.0
     np.fill_diagonal(w, np.inf)
     sizes = np.ones(n, dtype=np.int64)
     ids = np.arange(n, dtype=np.int64)
@@ -87,109 +65,15 @@ def _ward_merges_numpy(sqdist: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ward_merges_loop(sqdist):
-    # Same algorithm with explicit loops; this body is what numba compiles.
-    n = sqdist.shape[0]
-    w = sqdist / 2.0
-    sizes = np.ones(n, dtype=np.int64)
-    ids = np.arange(n)
-    alive = np.ones(n, dtype=np.bool_)
-    out = np.empty((n - 1, 4), dtype=np.float64)
-    for step in range(n - 1):
-        best = np.inf
-        for i in range(n):
-            if not alive[i]:
-                continue
-            for j in range(i + 1, n):
-                if alive[j] and w[i, j] < best:
-                    best = w[i, j]
-        thr = best + TIE_TOL
-        a = -1
-        b = -1
-        for i in range(n):
-            if a >= 0:
-                break
-            if not alive[i]:
-                continue
-            for j in range(i + 1, n):
-                if alive[j] and w[i, j] <= thr:
-                    a = i
-                    b = j
-                    break
-        cost = w[a, b]
-        na = sizes[a]
-        nb = sizes[b]
-        ns = na + nb
-        for k in range(n):
-            if not alive[k] or k == a or k == b:
-                continue
-            nk = sizes[k]
-            v = ((na + nk) * w[a, k] + (nb + nk) * w[b, k] - nk * cost) / (ns + nk)
-            w[a, k] = v
-            w[k, a] = v
-        alive[b] = False
-        sizes[a] = ns
-        out[step, 0] = ids[a]
-        out[step, 1] = ids[b]
-        out[step, 2] = cost
-        out[step, 3] = ns
-        ids[a] = n + step
-    return out
-
-
-if _HAVE_NUMBA:
-    _ward_merges_numba = njit(cache=True)(_ward_merges_loop)
-
-
-def ward_merges(sqdist: np.ndarray) -> np.ndarray:
-    """Dispatch the Ward merge sequence to the selected lane."""
-    d = np.ascontiguousarray(sqdist, dtype=np.float64)
-    if d.shape[0] < 2:
-        return np.empty((0, 4), dtype=np.float64)
-    if USING_NUMBA:
-        return _ward_merges_numba(d)
-    return _ward_merges_numpy(d)
-
-
 # ---------------------------------------------------------------------------
-# Unweighted all-pairs shortest paths (BFS per source)
+# Unweighted all-pairs shortest paths (BFS)
 # ---------------------------------------------------------------------------
 
-def _csr_structure(adjacency: np.ndarray):
-    rows, cols = np.nonzero(adjacency)
-    counts = np.bincount(rows, minlength=adjacency.shape[0])
-    indptr = np.zeros(adjacency.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, cols.astype(np.int64)
+def hop_matrix(adjacency: np.ndarray) -> np.ndarray:
+    """All-pairs hop counts; -1 marks unreachable pairs.
 
-
-def _bfs_hops_loop(indptr, indices, n):
-    dist = np.full((n, n), -1, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        head = 0
-        tail = 1
-        queue[0] = s
-        dist[s, s] = 0
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = dist[s, u]
-            for p in range(indptr[u], indptr[u + 1]):
-                v = indices[p]
-                if dist[s, v] < 0:
-                    dist[s, v] = du + 1
-                    queue[tail] = v
-                    tail += 1
-    return dist
-
-
-if _HAVE_NUMBA:
-    _bfs_hops_numba = njit(cache=True)(_bfs_hops_loop)
-
-
-def _bfs_hops_numpy(adjacency: np.ndarray) -> np.ndarray:
-    """Level-synchronous BFS from all sources at once via boolean matmul."""
+    Level-synchronous BFS from all sources at once via boolean matmul.
+    """
     n = adjacency.shape[0]
     a = (adjacency > 0).astype(np.float32)
     dist = np.full((n, n), -1, dtype=np.int64)
@@ -207,84 +91,18 @@ def _bfs_hops_numpy(adjacency: np.ndarray) -> np.ndarray:
     return dist
 
 
-def hop_matrix(adjacency: np.ndarray) -> np.ndarray:
-    """All-pairs hop counts; -1 marks unreachable pairs."""
-    n = adjacency.shape[0]
-    if USING_NUMBA:
-        indptr, indices = _csr_structure(adjacency)
-        return _bfs_hops_numba(indptr, indices, n)
-    return _bfs_hops_numpy(adjacency)
-
-
 # ---------------------------------------------------------------------------
 # Weighted all-pairs shortest paths (Dijkstra per source)
 # ---------------------------------------------------------------------------
 
-def _dijkstra_loop(indptr, indices, costs, n):
-    out = np.empty((n, n), dtype=np.float64)
-    m = indices.shape[0]
-    heap_key = np.empty(m + 1, dtype=np.float64)
-    heap_val = np.empty(m + 1, dtype=np.int64)
-    dist = np.empty(n, dtype=np.float64)
-    for s in range(n):
-        for i in range(n):
-            dist[i] = np.inf
-        dist[s] = 0.0
-        heap_key[0] = 0.0
-        heap_val[0] = s
-        size = 1
-        while size > 0:
-            key = heap_key[0]
-            u = heap_val[0]
-            size -= 1
-            if size > 0:
-                lk = heap_key[size]
-                lv = heap_val[size]
-                pos = 0
-                while True:
-                    child = 2 * pos + 1
-                    if child >= size:
-                        break
-                    if child + 1 < size and heap_key[child + 1] < heap_key[child]:
-                        child += 1
-                    if heap_key[child] < lk:
-                        heap_key[pos] = heap_key[child]
-                        heap_val[pos] = heap_val[child]
-                        pos = child
-                    else:
-                        break
-                heap_key[pos] = lk
-                heap_val[pos] = lv
-            if key > dist[u]:
-                continue
-            for p in range(indptr[u], indptr[u + 1]):
-                v = indices[p]
-                nd = key + costs[p]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    pos = size
-                    size += 1
-                    while pos > 0:
-                        parent = (pos - 1) // 2
-                        if heap_key[parent] > nd:
-                            heap_key[pos] = heap_key[parent]
-                            heap_val[pos] = heap_val[parent]
-                            pos = parent
-                        else:
-                            break
-                    heap_key[pos] = nd
-                    heap_val[pos] = v
-        out[s] = dist
-    return out
+def cost_path_matrix(edge_costs: np.ndarray) -> np.ndarray:
+    """All-pairs shortest path lengths on a dense edge-cost matrix.
 
-
-if _HAVE_NUMBA:
-    _dijkstra_numba = njit(cache=True)(_dijkstra_loop)
-
-
-def _dijkstra_numpy(cost_full: np.ndarray) -> np.ndarray:
-    """O(n^2)-selection Dijkstra per source on a dense cost matrix."""
-    n = cost_full.shape[0]
+    ``edge_costs`` holds np.inf for absent edges (and on the diagonal);
+    unreachable pairs stay np.inf in the result.  O(n^2)-selection Dijkstra
+    per source.
+    """
+    n = edge_costs.shape[0]
     out = np.empty((n, n), dtype=np.float64)
     for s in range(n):
         dist = np.full(n, np.inf)
@@ -296,24 +114,6 @@ def _dijkstra_numpy(cost_full: np.ndarray) -> np.ndarray:
             if not np.isfinite(pending[u]):
                 break
             done[u] = True
-            dist = np.minimum(dist, dist[u] + cost_full[u])
+            dist = np.minimum(dist, dist[u] + edge_costs[u])
         out[s] = dist
     return out
-
-
-def cost_path_matrix(edge_costs: np.ndarray) -> np.ndarray:
-    """All-pairs shortest path lengths on a dense edge-cost matrix.
-
-    ``edge_costs`` holds np.inf for absent edges (and on the diagonal);
-    unreachable pairs stay np.inf in the result.
-    """
-    n = edge_costs.shape[0]
-    if USING_NUMBA:
-        finite = np.isfinite(edge_costs)
-        rows, cols = np.nonzero(finite)
-        counts = np.bincount(rows, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        costs = edge_costs[rows, cols]
-        return _dijkstra_numba(indptr, cols.astype(np.int64), costs, n)
-    return _dijkstra_numpy(edge_costs)

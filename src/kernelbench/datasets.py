@@ -159,7 +159,12 @@ def _load_gml(path: Path) -> Graph:
         i, j = node_index[source], node_index[target]
         if i == j:
             raise ParseError(f"{path.name}: self-loop on node {source}")
-        adjacency[i, j] = adjacency[j, i] = float(weight)
+        try:
+            adjacency[i, j] = adjacency[j, i] = float(weight)
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"{path.name}: edge ({source},{target}) has non-numeric weight {weight!r}"
+            ) from None
 
     return build_graph(adjacency, _index_labels(raw_labels))
 

@@ -17,7 +17,7 @@ class AsymmetricInput(KernelBenchError):
 
 
 class NegativeWeight(KernelBenchError):
-    """Adjacency matrix contains a negative entry."""
+    """Adjacency matrix contains a negative or non-finite entry."""
 
 
 class NonzeroDiagonal(KernelBenchError):

@@ -10,8 +10,9 @@ Tournaments reduce each family's grid to one statistic per graph (max or a
 percentile), then award +1/-1 per pairwise win/loss.  Reject curves compare
 inter-class vs intra-class distances directly, independent of clustering.
 
-The (task, graph) jobs are embarrassingly parallel; results are aggregated
-in a fixed sort order so outputs are identical for any worker count.
+One per-graph job evaluates every (family, parameter) cell of a graph; the
+jobs are embarrassingly parallel, and results are aggregated in a fixed
+sort order so outputs are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -96,47 +97,37 @@ class RejectCurve:
     auc: float
 
 
-def sweep(g: Graph, family_name: str, grid, k: int | None = None,
-          constants: dict[str, float] | None = None):
-    """ARI per grid parameter for one family on one labeled graph.
+def _source_graph(source) -> Graph:
+    """A graph source is a Graph, or a (spec, index) sample; generating it
+    inside the job lets pool workers, not the parent, pay for it."""
+    if isinstance(source, Graph):
+        return source
+    spec, index = source
+    return generate(spec, index)
 
-    Returns (ari_vector, errors); error cells hold -1.0 and a marker of the
-    raising error type.
+
+def _graph_cells(args):
+    """Every (family, parameter) cell of one graph.
+
+    Returns the (n_families, len(grid)) ARI table and the error cells as
+    (family_index, grid_index, marker); error cells hold -1.0.
     """
-    grid = np.asarray(grid, dtype=np.float64)
-    if k is None:
-        k = g.num_classes
-    evaluator = FamilyEvaluator(g, constants)
-    return _sweep_with_evaluator(evaluator, g, family_name, grid, k)
-
-
-def _sweep_with_evaluator(evaluator, g, family_name, grid, k):
-    ari = np.empty(grid.shape[0])
-    errors: list[tuple[int, str]] = []
-    for j, p in enumerate(grid):
-        try:
-            measure = evaluator.matrix(family_name, float(p))
-            partition = ward_cluster(clustering_sqdist(measure), k)
-            ari[j] = adjusted_rand_index(partition, g.labels)
-        except KernelBenchError as exc:
-            ari[j] = -1.0
-            errors.append((j, type(exc).__name__))
-    return ari, errors
-
-
-def _graph_sweep_job(args):
-    """One (task, graph) cell: ARI table over all families and grid points."""
-    spec, index, families, grid, constants = args
-    g = generate(spec, index)
+    source, families, grid, constants = args
+    g = _source_graph(source)
     evaluator = FamilyEvaluator(g, constants)
     k = g.num_classes
     table = np.empty((len(families), grid.shape[0]))
     errors = []
     for fi, name in enumerate(families):
-        ari, errs = _sweep_with_evaluator(evaluator, g, name, grid, k)
-        table[fi] = ari
-        errors.extend((fi, index, j, marker) for j, marker in errs)
-    return index, table, errors
+        for j, p in enumerate(grid):
+            try:
+                measure = evaluator.matrix(name, float(p))
+                partition = ward_cluster(clustering_sqdist(measure), k)
+                table[fi, j] = adjusted_rand_index(partition, g.labels)
+            except KernelBenchError as exc:
+                table[fi, j] = -1.0
+                errors.append((fi, j, type(exc).__name__))
+    return table, errors
 
 
 def _run_jobs(fn, jobs, workers: int):
@@ -146,41 +137,48 @@ def _run_jobs(fn, jobs, workers: int):
         return list(pool.map(fn, jobs))
 
 
+def _sweep_sources(sources, families, grid, constants, workers) -> dict[str, SweepResult]:
+    """Run the per-graph job on each graph source; reduce to one SweepResult
+    per family, graphs in source order."""
+    grid = np.asarray(grid, dtype=np.float64)
+    families = list(families)
+    jobs = [(source, families, grid, constants) for source in sources]
+    tables = np.empty((len(families), len(jobs), grid.shape[0]))
+    errors = []
+    for gi, (table, errs) in enumerate(_run_jobs(_graph_cells, jobs, workers)):
+        tables[:, gi] = table
+        errors.extend((fi, gi, j, marker) for fi, j, marker in errs)
+    errors.sort()
+    return {
+        name: SweepResult(name, grid, tables[fi],
+                          tuple((gi, j, marker) for efi, gi, j, marker in errors if efi == fi))
+        for fi, name in enumerate(families)
+    }
+
+
+def sweep(g: Graph, family_name: str, grid,
+          constants: dict[str, float] | None = None):
+    """ARI per grid parameter for one family on one labeled graph.
+
+    Returns (ari_vector, errors); error cells hold -1.0 and a marker of the
+    raising error type.
+    """
+    result = _sweep_sources([g], [family_name], grid, constants, 1)[family_name]
+    return result.ari[0], [(j, marker) for _, j, marker in result.errors]
+
+
 def sweep_task(spec: BlockModelSpec, families, grid, n_graphs: int,
                constants: dict[str, float] | None = None,
                workers: int = 1) -> dict[str, SweepResult]:
     """Sweep every family over ``n_graphs`` samples of one block model task."""
-    grid = np.asarray(grid, dtype=np.float64)
-    families = list(families)
-    jobs = [(spec, i, families, grid, constants) for i in range(n_graphs)]
-    results = _run_jobs(_graph_sweep_job, jobs, workers)
-    results.sort(key=lambda r: r[0])
-    tables = np.stack([table for _, table, _ in results], axis=1)  # (fam, graph, grid)
-    all_errors = sorted(err for _, _, errs in results for err in errs)
-    out = {}
-    for fi, name in enumerate(families):
-        errs = tuple((gi, j, marker) for efi, gi, j, marker in all_errors if efi == fi)
-        out[name] = SweepResult(name, grid, tables[fi], errs)
-    return out
+    return _sweep_sources([(spec, i) for i in range(n_graphs)], families, grid,
+                          constants, workers)
 
 
 def sweep_graphs(graphs, families, grid,
                  constants: dict[str, float] | None = None) -> dict[str, SweepResult]:
     """Sweep every family over an explicit list of labeled graphs."""
-    grid = np.asarray(grid, dtype=np.float64)
-    families = list(families)
-    tables = np.empty((len(families), len(graphs), grid.shape[0]))
-    errors: dict[str, list] = {name: [] for name in families}
-    for gi, g in enumerate(graphs):
-        evaluator = FamilyEvaluator(g, constants)
-        for fi, name in enumerate(families):
-            ari, errs = _sweep_with_evaluator(evaluator, g, name, grid, g.num_classes)
-            tables[fi, gi] = ari
-            errors[name].extend((gi, j, marker) for j, marker in errs)
-    return {
-        name: SweepResult(name, grid, tables[fi], tuple(errors[name]))
-        for fi, name in enumerate(families)
-    }
+    return _sweep_sources(graphs, families, grid, constants, 1)
 
 
 def best_of_grid(result: SweepResult) -> tuple[float, float]:
@@ -189,19 +187,6 @@ def best_of_grid(result: SweepResult) -> tuple[float, float]:
     mean = result.ari.mean(axis=0)
     j = int(np.argmax(mean))
     return float(result.grid[j]), float(mean[j])
-
-
-def best_params_table(tasks, families, graphs_per_task: int, grid,
-                      constants: dict[str, float] | None = None,
-                      workers: int = 1) -> list[tuple[str, str, float, float]]:
-    """Rows of (task, family, best parameter, best graph-averaged ARI)."""
-    rows = []
-    for spec in tasks:
-        sweeps = sweep_task(spec, families, grid, graphs_per_task, constants, workers)
-        for name in families:
-            p, ari = best_of_grid(sweeps[name])
-            rows.append((spec.name, name, p, ari))
-    return rows
 
 
 def copeland_scores(stats: np.ndarray) -> np.ndarray:
@@ -268,9 +253,9 @@ def reject_curve(dist: DistanceMatrix | np.ndarray, labels) -> RejectCurve:
 
 
 def _graph_reject_job(args):
-    """Reject curves for one generated graph at fixed per-family parameters."""
-    spec, index, family_params, constants = args
-    g = generate(spec, index)
+    """Reject curves for one graph source at fixed per-family parameters."""
+    source, family_params, constants = args
+    g = _source_graph(source)
     evaluator = FamilyEvaluator(g, constants)
     curves = []
     for name, p in family_params:
@@ -279,7 +264,7 @@ def _graph_reject_job(args):
             curves.append(reject_curve(dist, g.labels))
         except KernelBenchError:
             curves.append(None)
-    return index, curves
+    return curves
 
 
 def reject_experiment(spec: BlockModelSpec, families, grid, n_graphs: int,
@@ -292,12 +277,11 @@ def reject_experiment(spec: BlockModelSpec, families, grid, n_graphs: int,
     """
     sweeps = sweep_task(spec, families, grid, n_graphs, constants, workers)
     family_params = [(name, best_of_grid(sweeps[name])[0]) for name in families]
-    jobs = [(spec, i, family_params, constants) for i in range(n_graphs)]
+    jobs = [((spec, i), family_params, constants) for i in range(n_graphs)]
     results = _run_jobs(_graph_reject_job, jobs, workers)
-    results.sort(key=lambda r: r[0])
     out = {}
     for fi, (name, p) in enumerate(family_params):
-        curves = [cs[fi] for _, cs in results if cs[fi] is not None]
+        curves = [cs[fi] for cs in results if cs[fi] is not None]
         out[name] = (p, average_reject_curves(curves))
     return out
 

@@ -46,26 +46,20 @@ class Graph:
         return bool(np.all((a == 0.0) | (a == 1.0)))
 
 
-@dataclass(frozen=True)
-class DegreeData:
-    """Degree vector d = A e, diagonal degree matrix, and volume = e^T d."""
-
-    degrees: np.ndarray
-    degree_matrix: np.ndarray
-    volume: float
-
-
 def build_graph(adjacency: np.ndarray, labels=None) -> Graph:
     """Validate and construct a graph.
 
-    The matrix must be square, symmetric within 1e-12, nonnegative, and have
-    an exactly zero diagonal (simple graphs only).  It is symmetrized as
-    (A + A^T)/2 after validation to remove float asymmetry.  Labels, when
-    given, must cover exactly the classes 0..m-1.
+    The matrix must be square, finite, symmetric within 1e-12, nonnegative,
+    and have an exactly zero diagonal (simple graphs only).  It is
+    symmetrized as (A + A^T)/2 after validation to remove float asymmetry.
+    Labels, when given, must cover exactly the classes 0..m-1.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise AsymmetricInput(f"adjacency must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise NegativeWeight(f"non-finite weight {a[i, j]:g} at ({i},{j})")
     if a.size and np.abs(a - a.T).max() > SYMMETRY_TOL:
         raise AsymmetricInput(f"adjacency asymmetric beyond {SYMMETRY_TOL:g}")
     if a.size and a.min() < 0.0:
@@ -91,11 +85,6 @@ def build_graph(adjacency: np.ndarray, labels=None) -> Graph:
             raise LabelOutOfRange(f"labels must cover exactly 0..m-1, got {present}")
         lab.setflags(write=False)
     return Graph(a, lab)
-
-
-def degree_data(g: Graph) -> DegreeData:
-    d = g.adjacency.sum(axis=1)
-    return DegreeData(d, np.diag(d), float(d.sum()))
 
 
 def laplacian(g: Graph) -> np.ndarray:

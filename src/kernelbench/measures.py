@@ -38,7 +38,7 @@ from .families import (
     proximity_matrix,
 )
 from .graph import Graph, is_connected, laplacian, shortest_path_matrix
-from .spectral import SymmetricEigen, solve_linear, spectral_apply, sym_eigen
+from .spectral import SymmetricEigen, pinv_from_eigen, solve_linear, spectral_apply, sym_eigen
 
 # Walk kernels stay this fraction inside the open interval (0, 1/rho).
 WALK_MARGIN = 1e-4
@@ -163,15 +163,7 @@ class FamilyEvaluator:
 
     @cached_property
     def lap_pinv(self) -> np.ndarray:
-        eigen = self.laplacian_eigen
-        values = eigen.values
-        n = values.shape[0]
-        cutoff = n * float(values[-1]) * 1e-12 if n else 0.0
-        near_zero = values <= cutoff
-        if int(near_zero.sum()) != 1:
-            raise Disconnected("Laplacian pseudoinverse found multiple zero modes")
-        inverted = np.where(near_zero, 0.0, 1.0 / np.where(near_zero, 1.0, values))
-        return spectral_apply(eigen, inverted)
+        return pinv_from_eigen(self.laplacian_eigen)
 
     @cached_property
     def ct_sigma(self) -> float:

@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._accel import USING_NUMBA
 from .config import ExperimentConfig, config_to_dict
 from .datasets import load_dataset
 from .evaluation import (
     SweepResult,
     best_of_grid,
     copeland_scores,
+    copeland_tournament,
     family_statistics,
     parameter_grid,
     reject_experiment,
@@ -59,6 +59,15 @@ def _sweep_rows(task_name: str, families, sweeps: dict[str, SweepResult]):
     return rows
 
 
+def _write_tournament(path: Path, families, tasks, scores: np.ndarray) -> None:
+    """tournament.csv: a (family, task, score) row per cell of the
+    (n_families, n_tasks) score table, then each family's total."""
+    rows = [(fam, task, int(scores[fi, ti]))
+            for fi, fam in enumerate(families) for ti, task in enumerate(tasks)]
+    rows += [(fam, "total", int(scores[fi].sum())) for fi, fam in enumerate(families)]
+    _write_csv(path, ("family", "task", "score"), rows)
+
+
 def _mean_curves(families, sweeps):
     return [(name, sweeps[name].grid, sweeps[name].ari.mean(axis=0)) for name in families]
 
@@ -85,7 +94,6 @@ def run(cfg: ExperimentConfig) -> Path:
     manifest = {
         "config": config_to_dict(cfg),
         "version": __version__,
-        "backend": "numba" if USING_NUMBA else "numpy",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -115,17 +123,9 @@ def _run_sweep(cfg, grid, out):
 
 
 def _run_tournament(cfg, grid, out):
-    from .evaluation import copeland_tournament
-
     result = copeland_tournament(cfg.tasks, cfg.families, cfg.graphs_per_task,
                                  grid, cfg.statistic, cfg.constants, cfg.workers)
-    rows = []
-    for fi, name in enumerate(result.families):
-        for ti, task in enumerate(result.tasks):
-            rows.append((name, task, int(result.scores[fi, ti])))
-    for fi, name in enumerate(result.families):
-        rows.append((name, "total", int(result.totals[fi])))
-    _write_csv(out / "tournament.csv", ("family", "task", "score"), rows)
+    _write_tournament(out / "tournament.csv", result.families, result.tasks, result.scores)
 
 
 def _run_reject(cfg, grid, out):
@@ -159,12 +159,6 @@ def _run_datasets(cfg, grid, out):
         sweep_rows.extend(_sweep_rows(name, cfg.families, sweeps))
         stats = family_statistics(sweeps, cfg.families, cfg.statistic)
         score_table[:, ti] = copeland_scores(stats)
-    rows = []
-    for fi, fam in enumerate(cfg.families):
-        for ti, task in enumerate(cfg.tasks):
-            rows.append((fam, task, int(score_table[fi, ti])))
-    for fi, fam in enumerate(cfg.families):
-        rows.append((fam, "total", int(score_table[fi].sum())))
-    _write_csv(out / "tournament.csv", ("family", "task", "score"), rows)
+    _write_tournament(out / "tournament.csv", cfg.families, cfg.tasks, score_table)
     _write_csv(out / "sweep.csv",
                ("task", "family", "param", "graph_index", "ari", "error"), sweep_rows)

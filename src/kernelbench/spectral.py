@@ -82,13 +82,17 @@ def solve_linear(m: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pinv_laplacian(lap: np.ndarray, rtol: float = PINV_RTOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a connected graph's Laplacian.
+    """Moore-Penrose pseudoinverse of a connected graph's Laplacian."""
+    return pinv_from_eigen(sym_eigen(lap), rtol)
+
+
+def pinv_from_eigen(eigen: SymmetricEigen, rtol: float = PINV_RTOL) -> np.ndarray:
+    """Laplacian pseudoinverse from the Laplacian's eigensystem.
 
     Eigenvalues below n * lambda_max * rtol count as the zero mode; a
-    connected Laplacian has exactly one.  Finding more than one raises
+    connected Laplacian has exactly one.  Finding any other count raises
     :class:`Disconnected`.
     """
-    eigen = sym_eigen(lap)
     values = eigen.values
     n = values.shape[0]
     lam_max = float(values[-1]) if n else 0.0

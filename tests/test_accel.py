@@ -1,101 +1,20 @@
-"""The numba and numpy lanes must produce bit-identical results."""
+"""Ward's deterministic tie rule in the hot-loop kernels."""
 
 import numpy as np
-import pytest
 
 from kernelbench import _accel
-from kernelbench.graph import edge_cost_matrix
-
-from conftest import random_connected_graph
-
-needs_numba = pytest.mark.skipif(
-    not hasattr(_accel, "_ward_merges_numba"), reason="numba not installed"
-)
-
-
-def _random_sqdist(rng, n, dims=4):
-    points = rng.normal(size=(n, dims))
-    return ((points[:, None, :] - points[None, :, :]) ** 2).sum(-1)
-
-
-@needs_numba
-class TestLaneEquality:
-    def test_ward_merges_identical(self, rng):
-        for n in (2, 3, 7, 24, 60):
-            sq = _random_sqdist(rng, n)
-            a = _accel._ward_merges_numpy(sq.copy())
-            b = _accel._ward_merges_numba(sq.copy())
-            assert np.array_equal(a, b)
-
-    def test_bfs_identical(self, rng):
-        for n in (5, 17, 40):
-            g = random_connected_graph(rng, n)
-            indptr, indices = _accel._csr_structure(g.adjacency)
-            a = _accel._bfs_hops_numpy(g.adjacency)
-            b = _accel._bfs_hops_numba(indptr, indices, n)
-            assert np.array_equal(a, b)
-
-    def test_bfs_identical_disconnected(self):
-        adj = np.zeros((4, 4))
-        adj[0, 1] = adj[1, 0] = 1.0
-        indptr, indices = _accel._csr_structure(adj)
-        a = _accel._bfs_hops_numpy(adj)
-        b = _accel._bfs_hops_numba(indptr, indices, 4)
-        assert np.array_equal(a, b)
-        assert a[0, 2] == -1
-
-    def test_dijkstra_identical(self, rng):
-        for n in (5, 12, 30):
-            g = random_connected_graph(rng, n, weighted=True)
-            costs = edge_cost_matrix(g)
-            finite = np.isfinite(costs)
-            rows, cols = np.nonzero(finite)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-            a = _accel._dijkstra_numpy(costs)
-            b = _accel._dijkstra_numba(indptr, cols.astype(np.int64), costs[rows, cols], n)
-            assert np.array_equal(a, b)
 
 
 class TestTieBreaking:
     def test_unit_square_first_merge(self):
         # four corners of a unit square: all four side pairs tie at cost 1/2;
-        # the smallest slot pair (0, 1) must merge first in both lanes
+        # the smallest slot pair (0, 1) must merge first
         pts = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]])
         sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        merges = _accel._ward_merges_numpy(sq.copy())
+        merges = _accel.ward_merges(sq.copy())
         assert (merges[0, 0], merges[0, 1]) == (0.0, 1.0)
-        if hasattr(_accel, "_ward_merges_numba"):
-            assert np.array_equal(merges, _accel._ward_merges_numba(sq.copy()))
 
     def test_identical_points_merge_in_slot_order(self):
         sq = np.zeros((4, 4))
-        merges = _accel._ward_merges_numpy(sq.copy())
+        merges = _accel.ward_merges(sq.copy())
         assert [tuple(row[:2]) for row in merges] == [(0.0, 1.0), (4.0, 2.0), (5.0, 3.0)]
-
-
-def test_backend_flag_exposed():
-    assert isinstance(_accel.USING_NUMBA, bool)
-
-
-def test_env_flag_selects_numpy_lane():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import kernelbench
-
-    # the child must import the same kernelbench copy as this process,
-    # whether it comes from an install or from PYTHONPATH
-    package_root = str(Path(kernelbench.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ)
-    env["KERNELBENCH_BACKEND"] = "numpy"
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, inherited]))
-    code = "from kernelbench import _accel; print(_accel.USING_NUMBA)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False"

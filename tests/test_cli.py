@@ -116,7 +116,7 @@ class TestRunner:
         assert header == "task,family,param,graph_index,ari,error"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["kind"] == "sweep"
-        assert manifest["backend"] in ("numba", "numpy")
+        assert set(manifest) == {"config", "version", "timestamp"}
         # polyline data is embedded in the SVG
         assert "<!-- data" in svgs[0].read_text()
 

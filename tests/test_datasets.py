@@ -12,6 +12,7 @@ from kernelbench.errors import (
     DatasetMissing,
     Disconnected,
     MissingLabels,
+    NegativeWeight,
     NotFound,
     ParseError,
 )
@@ -69,6 +70,14 @@ class TestGml:
         with pytest.raises((ParseError, MissingLabels, Disconnected)):
             load_graph(path)
 
+    @pytest.mark.parametrize("weight", ["heavy", "[ value 2 ]"])
+    def test_non_numeric_weight(self, tmp_path, weight):
+        path = tmp_path / "x.gml"
+        path.write_text('graph [ node [ id 0 value 0 ] node [ id 1 value 1 ] '
+                        f'edge [ source 0 target 1 weight {weight} ] ]')
+        with pytest.raises(ParseError, match=r"x\.gml: edge \(0,1\)"):
+            load_graph(path)
+
     def test_duplicate_node_id(self, tmp_path):
         path = tmp_path / "x.gml"
         path.write_text('graph [ node [ id 0 value 1 ] node [ id 0 value 1 ] ]')
@@ -112,6 +121,13 @@ class TestEdgeList:
         b = load_graph(edges)
         assert np.array_equal(a.adjacency, b.adjacency)
         assert np.array_equal(a.labels, b.labels)
+
+    def test_non_finite_weight(self, tmp_path):
+        edges = tmp_path / "g.edges"
+        edges.write_text("0 1 nan\n1 2\n")
+        (tmp_path / "g.labels").write_text("0\n0\n1\n")
+        with pytest.raises(NegativeWeight, match="non-finite"):
+            load_graph(edges)
 
     def test_missing_sidecar(self, tmp_path):
         edges = tmp_path / "g.edges"

@@ -9,7 +9,6 @@ from kernelbench.evaluation import (
     Statistic,
     average_reject_curves,
     best_of_grid,
-    best_params_table,
     copeland_scores,
     copeland_tournament,
     family_statistics,
@@ -102,13 +101,19 @@ class TestSweep:
                           np.array([[0.3, 0.7, 0.7]]), ())
         assert best_of_grid(res) == (0.5, 0.7)
 
-    def test_best_params_table(self):
-        spec = uniform_spec(20, 2, 0.9, 0.05, seed=8)
-        rows = best_params_table([spec], ("SP-CT",), 2, parameter_grid(3))
-        assert len(rows) == 1
-        task, fam, p, ari = rows[0]
-        assert task == spec.name and fam == "SP-CT"
-        assert 0.0 < p < 1.0 and ari == 1.0
+    def test_graph_list_matches_generated_task(self):
+        # one graph path: explicit graphs, serial, equal a pooled task
+        # sweep of the same samples bit for bit, error cells included
+        spec = uniform_spec(16, 2, 0.8, 0.1, seed=9)
+        grid = parameter_grid(4)
+        fams = ("Comm", "logComm", "SP-CT")
+        constants = {"Comm": 1e9}
+        listed = sweep_graphs([generate(spec, i) for i in range(3)], fams, grid, constants)
+        pooled = sweep_task(spec, fams, grid, 3, constants, workers=2)
+        assert listed["Comm"].errors
+        for name in fams:
+            assert np.array_equal(listed[name].ari, pooled[name].ari)
+            assert listed[name].errors == pooled[name].errors
 
 
 class TestCopeland:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from kernelbench.errors import (
     NegativeWeight,
     NonzeroDiagonal,
 )
-from kernelbench.graph import degree_data
 
 from conftest import random_connected_graph
 
@@ -32,6 +32,14 @@ class TestBuildGraph:
         a = np.array([[0, -1.0], [-1.0, 0]])
         with pytest.raises(NegativeWeight):
             build_graph(a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        a = np.array([[0, 1.0, bad], [1.0, 0, 1.0], [bad, 1.0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NegativeWeight, match="non-finite"):
+                build_graph(a)
 
     def test_asymmetric_rejected(self):
         a = np.array([[0, 1.0], [0.5, 0]])
@@ -107,12 +115,6 @@ class TestLaplacian:
             lap = laplacian(g)
             assert np.abs(lap.sum(axis=1)).max() <= 1e-12
             assert sym_eigen(lap).values[0] >= -1e-10
-
-    def test_degree_data(self, p3):
-        data = degree_data(p3)
-        assert np.array_equal(data.degrees, [1, 2, 1])
-        assert data.volume == 4.0
-        assert np.array_equal(np.diagonal(data.degree_matrix), data.degrees)
 
 
 def _brute_force_paths(adjacency, costs, source, target, n):

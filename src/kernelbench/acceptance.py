@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import adjusted_rand_index, cut_dendrogram, ward_cluster, ward_linkage
+from .clustering import adjusted_rand_index, cut_dendrogram, ward_linkage
 from .datasets import load_dataset
 from .errors import DatasetMissing, KernelBenchError
 from .evaluation import (
@@ -32,7 +32,6 @@ from .generators import uniform_spec
 from .graph import build_graph, shortest_path_matrix
 from .measures import (
     FamilyEvaluator,
-    comm_kernel,
     ct_kernel,
     forest_kernel,
     heat_kernel,
@@ -383,7 +382,7 @@ def criterion_a6(seed: int, workers: int, data_root=None) -> CriterionResult:
     ev = FamilyEvaluator(g)
 
     # kernel symmetry plus distance-kind invariants for every family
-    from .families import FAMILIES, DistanceMatrix
+    from .families import DistanceMatrix
 
     for name in FAMILY_NAMES:
         for p in (0.3, 0.7):
@@ -412,7 +411,8 @@ def criterion_a6(seed: int, workers: int, data_root=None) -> CriterionResult:
         if abs(d[0, 1] + d[1, 2] - d[0, 2]) > 1e-8:
             checks.append(f"logFor cutpoint additivity fails at t={t:g}")
 
-    # double-centering roundtrip on genuine Euclidean distances
+    # double-centering roundtrip on genuine Euclidean distances: it gives
+    # back D∘D, the Ward input clustering_sqdist takes for distance families
     rng = np.random.default_rng(seed + 31)
     pts = rng.normal(size=(12, 3))
     delta = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))

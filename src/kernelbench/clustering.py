@@ -9,18 +9,13 @@ contains; this makes the merge sequence fully deterministic.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._accel import ward_merges
 from .errors import InvalidK, LengthMismatch, MalformedDistance
-
-logger = logging.getLogger(__name__)
-
-NEG_TOL = -1e-10
-MONOTONE_TOL = 1e-9
+from .families import NEG_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,13 +23,12 @@ class Dendrogram:
     """Merge sequence: rows of (id_a, id_b, cost, new_size).
 
     Ids follow the linkage convention (originals 0..n-1, step s creates id
-    n+s).  ``monotone`` records whether costs were non-decreasing; small
-    violations happen for indefinite-kernel inputs and are logged, not fatal.
+    n+s).  On a nonnegative input the costs never drop by more than the
+    tie tolerance.
     """
 
     merges: np.ndarray
     n: int
-    monotone: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,12 +60,7 @@ def _checked_sqdist(sqdist: np.ndarray) -> np.ndarray:
 def ward_linkage(sqdist: np.ndarray) -> Dendrogram:
     """Full Ward merge sequence for a squared-distance matrix."""
     m = _checked_sqdist(sqdist)
-    merges = ward_merges(m)
-    costs = merges[:, 2]
-    monotone = bool(np.all(np.diff(costs) >= -MONOTONE_TOL)) if costs.size else True
-    if not monotone:
-        logger.debug("non-monotone Ward merge costs (indefinite input?)")
-    return Dendrogram(merges, m.shape[0], monotone)
+    return Dendrogram(ward_merges(m), m.shape[0])
 
 
 def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:

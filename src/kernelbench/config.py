@@ -8,6 +8,7 @@ unknown keys are rejected.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import yaml
 
 from .errors import ConfigInvalid
 from .evaluation import Statistic
-from .families import FAMILIES
+from .families import FAMILIES, RATIO
 from .generators import BlockModelSpec, block_model_spec, six_class_spec, two_class_unequal_spec, uniform_spec
 
 KINDS = ("sweep", "tournament", "reject", "datasets")
@@ -107,6 +108,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(isinstance(constants, dict), "'constants' must map family -> c")
     bad = [f for f in constants if f not in FAMILIES]
     _require(not bad, f"constants for unknown families: {bad}")
+    unscaled = [f for f in constants if FAMILIES[f].scaling != RATIO]
+    _require(not unscaled, f"constants only scale t = c*p/(1-p) families, not {unscaled}")
+    for name, c in constants.items():
+        _require(isinstance(c, (int, float)) and not isinstance(c, bool)
+                 and math.isfinite(c) and c > 0,
+                 f"constant for {name} must be a finite number > 0, got {c!r}")
     constants = {str(k): float(v) for k, v in constants.items()}
 
     tasks_raw = raw.get("tasks", ())

@@ -65,7 +65,7 @@ class DegenerateKernel(KernelBenchError):
 
 
 class NegativeDistance(KernelBenchError):
-    """Induced distance has an entry below the clamping tolerance."""
+    """Distance has a non-finite entry or one below the clamping tolerance."""
 
 
 # -- clustering and evaluation -----------------------------------------------
@@ -75,7 +75,8 @@ class InvalidK(KernelBenchError):
 
 
 class MalformedDistance(KernelBenchError):
-    """Distance matrix fails shape/symmetry/diagonal/finite checks."""
+    """Ward's squared-distance input fails its shape, finite, symmetry,
+    diagonal or sign check (only Ward's input check raises it)."""
 
 
 class LengthMismatch(KernelBenchError):

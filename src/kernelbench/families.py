@@ -1,4 +1,4 @@
-"""The 13 measure families and the matrix wrappers they produce.
+"""The 13 measure families and the matrix types they produce.
 
 A family maps a graph and a normalized parameter p in [0, 1] to either a
 node proximity matrix (kernel) or a node distance matrix.  The family name
@@ -11,10 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricInput, MalformedDistance, NegativeDistance, NotFound
+from .errors import NegativeDistance, NotFound
 
 PROXIMITY = "proximity"
 DISTANCE = "distance"
+
+# Distances down to this value are float noise and clamp to 0; below it
+# they raise NegativeDistance.
+NEG_TOL = -1e-10
 
 # Scaling rules from normalized p to the native parameter:
 #   spectral: t = p * (1 - eps) / rho(A), the admissible walk interval
@@ -87,40 +91,19 @@ class DistanceMatrix:
         return DISTANCE
 
 
-def proximity_matrix(matrix: np.ndarray, family: str, parameter: float | None = None,
-                     tol: float = 1e-8) -> ProximityMatrix:
-    """Wrap a kernel matrix, enforcing symmetry within ``tol``."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise AsymmetricInput(f"kernel matrix must be square, got shape {m.shape}")
-    if not np.allclose(m, m.T, rtol=0.0, atol=tol, equal_nan=True):
-        raise AsymmetricInput(f"{family} kernel asymmetric beyond {tol:g}")
-    sym = (m + m.T) / 2.0
-    sym.setflags(write=False)
-    return ProximityMatrix(sym, family, parameter)
+def distance_matrix(matrix: np.ndarray, family: str, parameter: float | None = None) -> DistanceMatrix:
+    """Wrap a distance matrix built symmetric with a zero diagonal.
 
-
-def distance_matrix(matrix: np.ndarray, family: str, parameter: float | None = None,
-                    sym_tol: float = 1e-8, neg_tol: float = -1e-10) -> DistanceMatrix:
-    """Wrap a distance matrix: symmetrize, zero the diagonal, clamp tiny negatives.
-
-    Entries below ``neg_tol`` raise :class:`NegativeDistance`; entries in
-    [neg_tol, 0) are clamped to 0.
+    A non-finite entry, or one below ``NEG_TOL``, raises
+    :class:`NegativeDistance`; entries in [NEG_TOL, 0) are clamped to 0.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise MalformedDistance(f"distance matrix must be square, got shape {m.shape}")
-    if not np.allclose(m, m.T, rtol=0.0, atol=sym_tol, equal_nan=True):
-        raise MalformedDistance(f"{family} distance asymmetric beyond {sym_tol:g}")
-    diag = np.abs(np.diagonal(m))
-    if diag.size and diag.max() > sym_tol:
-        raise MalformedDistance(f"{family} distance has nonzero diagonal ({diag.max():g})")
-    sym = (m + m.T) / 2.0
-    np.fill_diagonal(sym, 0.0)
-    low = sym.min() if sym.size else 0.0
-    if low < neg_tol:
-        i, j = np.unravel_index(int(np.argmin(sym)), sym.shape)
-        raise NegativeDistance(f"{family} distance ({i},{j}) = {low:g} below {neg_tol:g}")
-    np.clip(sym, 0.0, None, out=sym)
-    sym.setflags(write=False)
-    return DistanceMatrix(sym, family, parameter)
+    if not np.all(np.isfinite(m)):
+        raise NegativeDistance(f"{family} distance is not finite")
+    low = m.min() if m.size else 0.0
+    if low < NEG_TOL:
+        i, j = np.unravel_index(int(np.argmin(m)), m.shape)
+        raise NegativeDistance(f"{family} distance ({i},{j}) = {low:g} below {NEG_TOL:g}")
+    m = np.clip(m, 0.0, None)
+    m.setflags(write=False)
+    return DistanceMatrix(m, family, parameter)

@@ -134,5 +134,7 @@ def shortest_path_matrix(g: Graph) -> DistanceMatrix:
         hops = hop_matrix(g.adjacency)
         dist = hops.astype(np.float64)
     else:
+        # Dijkstra from each end sums a path in a different order.
         dist = cost_path_matrix(edge_cost_matrix(g))
+        dist = (dist + dist.T) / 2.0
     return distance_matrix(dist, "SP")

@@ -27,15 +27,12 @@ from .errors import (
     ZeroDegree,
 )
 from .families import (
-    DISTANCE,
-    IDENTITY,
     RATIO,
     SPECTRAL,
     DistanceMatrix,
     ProximityMatrix,
     distance_matrix,
     family,
-    proximity_matrix,
 )
 from .graph import Graph, is_connected, laplacian, shortest_path_matrix
 from .spectral import SymmetricEigen, pinv_from_eigen, solve_linear, spectral_apply, sym_eigen
@@ -65,12 +62,12 @@ def _pwalk_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
     rho = _spectral_radius(eigen)
     if t <= 0.0 or (rho > 0.0 and t >= 1.0 / rho):
         raise ParameterOutOfRange(f"pWalk needs 0 < t < 1/rho = {1.0 / rho if rho else np.inf:g}")
-    return proximity_matrix(spectral_apply(eigen, 1.0 / (1.0 - t * eigen.values)), "pWalk", t)
+    return ProximityMatrix(spectral_apply(eigen, 1.0 / (1.0 - t * eigen.values)), "pWalk", t)
 
 
 def _forest_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
     _require_positive(t, "For")
-    return proximity_matrix(spectral_apply(eigen, 1.0 / (1.0 + t * eigen.values)), "For", t)
+    return ProximityMatrix(spectral_apply(eigen, 1.0 / (1.0 + t * eigen.values)), "For", t)
 
 
 def _comm_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
@@ -78,12 +75,12 @@ def _comm_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
     top = t * float(eigen.values[-1]) if eigen.values.size else 0.0
     if top > EXP_MAX:
         raise NumericalOverflow(f"exp({top:g}) exceeds float64 range")
-    return proximity_matrix(spectral_apply(eigen, np.exp(t * eigen.values)), "Comm", t)
+    return ProximityMatrix(spectral_apply(eigen, np.exp(t * eigen.values)), "Comm", t)
 
 
 def _heat_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
     _require_positive(t, "Heat")
-    return proximity_matrix(spectral_apply(eigen, np.exp(-t * eigen.values)), "Heat", t)
+    return ProximityMatrix(spectral_apply(eigen, np.exp(-t * eigen.values)), "Heat", t)
 
 
 def _log_comm_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
@@ -96,7 +93,7 @@ def _log_comm_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
     if low <= 0.0:
         i, j = np.unravel_index(int(np.argmin(scaled)), scaled.shape)
         raise NonPositiveEntry(f"logComm entry ({i},{j}) = {low:g} * e^{shift:g} is not positive")
-    return proximity_matrix(np.log(scaled) + shift, "logComm", t)
+    return ProximityMatrix(np.log(scaled) + shift, "logComm", t)
 
 
 def log_kernel(kernel: ProximityMatrix) -> ProximityMatrix:
@@ -107,7 +104,7 @@ def log_kernel(kernel: ProximityMatrix) -> ProximityMatrix:
         i, j = np.unravel_index(int(np.argmin(m)), m.shape)
         raise NonPositiveEntry(f"{kernel.family} entry ({i},{j}) = {low:g} is not positive")
     name = _LOG_NAMES.get(kernel.family, f"log{kernel.family}")
-    return proximity_matrix(np.log(m), name, kernel.parameter)
+    return ProximityMatrix(np.log(m), name, kernel.parameter)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -123,7 +120,7 @@ def _sigmoid_kernel(base: np.ndarray, sigma: float, t: float, name: str) -> Prox
     _require_positive(t, name)
     if not (sigma > 0.0):
         raise DegenerateKernel(f"{name}: base kernel is constant (sigma = {sigma:g})")
-    return proximity_matrix(_stable_sigmoid(t * base / sigma), name, t)
+    return ProximityMatrix(_stable_sigmoid(t * base / sigma), name, t)
 
 
 class FamilyEvaluator:
@@ -310,7 +307,7 @@ def heat_kernel(g: Graph, t: float) -> ProximityMatrix:
 
 def ct_kernel(g: Graph) -> ProximityMatrix:
     """Commute-time kernel: pseudoinverse of the Laplacian."""
-    return proximity_matrix(FamilyEvaluator(g).lap_pinv, "CT")
+    return ProximityMatrix(FamilyEvaluator(g).lap_pinv, "CT")
 
 
 def resistance_distance(g: Graph) -> DistanceMatrix:

@@ -3,44 +3,30 @@
 d(x, y) = p(x,x) + p(y,y) - p(x,y) - p(y,x) turns a proximity into a
 distance (the squared feature-space distance when the kernel is PSD); the
 double-centering K = -1/2 H D^(2) H recovers an inner-product matrix from a
-distance matrix.  Composing the two gives every family a single uniform
-squared-distance pipeline into Ward clustering.
+distance matrix.  Ward reads every family as squared distances: the induced
+distance for kernels, D∘D for distance families (the two agree through the
+double-centering, which acceptance criterion A6 checks).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeDistance
-from .families import (
-    DistanceMatrix,
-    ProximityMatrix,
-    distance_matrix,
-    proximity_matrix,
-)
-
-NEG_TOL = -1e-10
+from .families import DistanceMatrix, ProximityMatrix, distance_matrix
 
 
 def proximity_to_distance(kernel: ProximityMatrix) -> DistanceMatrix:
     """Induced distance d_ij = K_ii + K_jj - 2 K_ij.
 
-    Entries below -1e-10 raise :class:`NegativeDistance` (the kernel is too
-    far from PSD for the transform); tiny float negatives are clamped to 0.
+    Non-finite entries, or entries below ``NEG_TOL`` (the kernel is too far
+    from PSD for the transform), raise :class:`NegativeDistance`; tiny float
+    negatives are clamped to 0.
     """
     m = kernel.matrix
     diag = np.diagonal(m)
     d = diag[:, None] + diag[None, :] - 2.0 * m
     np.fill_diagonal(d, 0.0)
-    low = d.min() if d.size else 0.0
-    if not np.all(np.isfinite(d)):
-        raise NegativeDistance(f"{kernel.family}: induced distance is not finite")
-    if low < NEG_TOL:
-        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
-        raise NegativeDistance(
-            f"{kernel.family}: induced distance ({i},{j}) = {low:g} below {NEG_TOL:g}"
-        )
-    return distance_matrix(np.clip(d, 0.0, None), kernel.family, kernel.parameter)
+    return distance_matrix(d, kernel.family, kernel.parameter)
 
 
 def distance_to_kernel(dist: DistanceMatrix) -> ProximityMatrix:
@@ -52,7 +38,7 @@ def distance_to_kernel(dist: DistanceMatrix) -> ProximityMatrix:
     s = dist.matrix ** 2
     row_mean = s.mean(axis=1)
     k = -0.5 * (s - row_mean[:, None] - row_mean[None, :] + s.mean())
-    return proximity_matrix(k, dist.family, dist.parameter)
+    return ProximityMatrix((k + k.T) / 2.0, dist.family, dist.parameter)
 
 
 def reject_distance(measure: ProximityMatrix | DistanceMatrix) -> DistanceMatrix:
@@ -63,13 +49,11 @@ def reject_distance(measure: ProximityMatrix | DistanceMatrix) -> DistanceMatrix
 
 
 def clustering_sqdist(measure: ProximityMatrix | DistanceMatrix) -> np.ndarray:
-    """Uniform squared-distance pipeline feeding Ward clustering.
+    """Squared distances feeding Ward clustering.
 
     Proximity families: the induced distance, read as a squared Euclidean
-    distance.  Distance families: double-center to a kernel first, then
-    re-induce, which reproduces the elementwise squared distances and routes
-    every family through the same transform pair.
+    distance.  Distance families: the elementwise square D∘D.
     """
     if isinstance(measure, DistanceMatrix):
-        measure = distance_to_kernel(measure)
+        return measure.matrix * measure.matrix
     return proximity_to_distance(measure).matrix

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from kernelbench.cli import main
@@ -50,6 +49,30 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="unknown families"):
             config_from_dict({"kind": "sweep", "families": ["Warp"],
                               "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5, "p_out": 0.1}]})
+
+    @pytest.mark.parametrize("constants, match", [
+        ({"Comm": "fast"}, "finite number > 0"),
+        ({"Comm": [1.0, 2.0]}, "finite number > 0"),
+        ({"Comm": True}, "finite number > 0"),
+        ({"Comm": -2.0}, "finite number > 0"),
+        ({"Comm": 0}, "finite number > 0"),
+        ({"Comm": float("inf")}, "finite number > 0"),
+        ({"Comm": float("nan")}, "finite number > 0"),
+        ({"pWalk": 2.0}, "only scale"),
+        ({"Walk": 2.0}, "only scale"),
+        ({"SP-CT": 2.0}, "only scale"),
+        ({"Warp": 2.0}, "unknown families"),
+    ])
+    def test_bad_constants_rejected(self, constants, match):
+        with pytest.raises(ConfigInvalid, match=match):
+            config_from_dict({"kind": "sweep", "families": ["Comm"], "constants": constants,
+                              "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5, "p_out": 0.1}]})
+
+    def test_constants_accepted(self):
+        cfg = config_from_dict({"kind": "sweep", "families": ["Comm"],
+                                "constants": {"Comm": 2, "RSP": 1e9},
+                                "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5, "p_out": 0.1}]})
+        assert cfg.constants == {"Comm": 2.0, "RSP": 1e9}
 
     def test_bad_task_shape_rejected(self):
         with pytest.raises(ConfigInvalid, match="task #0"):
@@ -184,6 +207,11 @@ class TestCliMain:
     def test_run_missing_config(self, capsys):
         assert main(["run", "nope.cfg"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_run_bad_constant_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        text = MINI_SWEEP.format(out=tmp_path / "o") + "constants: {Heat: fast}\n"
+        assert main(["run", str(_write_cfg(tmp_path, text))]) == 2
+        assert "constant for Heat" in capsys.readouterr().err
 
     def test_verify_only_unknown(self, capsys):
         assert main(["verify", "--only", "A9"]) == 2

@@ -19,7 +19,7 @@ from kernelbench.evaluation import (
     sweep_graphs,
     sweep_task,
 )
-from kernelbench.graph import Graph, build_graph
+from kernelbench.graph import Graph
 from kernelbench.measures import FamilyEvaluator
 from kernelbench.transforms import reject_distance
 

@@ -30,7 +30,7 @@ from kernelbench.errors import (
     ParameterOutOfRange,
     ZeroDegree,
 )
-from kernelbench.families import DistanceMatrix, ProximityMatrix, proximity_matrix
+from kernelbench.families import DistanceMatrix, ProximityMatrix
 from kernelbench.measures import FamilyEvaluator, _sigmoid_kernel
 from kernelbench.transforms import proximity_to_distance
 
@@ -129,7 +129,7 @@ class TestCommAndHeat:
 
 class TestLogKernel:
     def test_all_ones_maps_to_zero(self):
-        k = proximity_matrix(np.ones((3, 3)), "Comm")
+        k = ProximityMatrix(np.ones((3, 3)), "Comm")
         assert np.array_equal(log_kernel(k).matrix, np.zeros((3, 3)))
 
     def test_forest_log_value(self, k2):
@@ -141,7 +141,7 @@ class TestLogKernel:
         m = np.ones((2, 2))
         m[0, 1] = m[1, 0] = 0.0
         with pytest.raises(NonPositiveEntry, match=r"\(0,1\)"):
-            log_kernel(proximity_matrix(m, "Comm"))
+            log_kernel(ProximityMatrix(m, "Comm"))
 
     def test_name_mapping(self, k2):
         assert log_kernel(forest_kernel(k2, 1.0)).family == "logFor"
@@ -305,12 +305,21 @@ class TestFamilyDispatch:
         with pytest.raises(NotFound):
             family("nosuch")
 
-    def test_every_family_evaluates(self, sbm_graph):
-        for name in FAMILY_NAMES:
-            m = family_matrix(sbm_graph, name, 0.5)
-            expected = DistanceMatrix if family(name).kind == "distance" else ProximityMatrix
-            assert isinstance(m, expected)
-            assert np.abs(m.matrix - m.matrix.T).max() <= 1e-8
+    def test_every_family_evaluates(self, sbm_graph, connected_graph_factory):
+        # exact symmetry and, for distances, an exact zero diagonal: the
+        # pipeline passes these matrices to Ward without re-checking them;
+        # the weighted graph takes shortest paths by Dijkstra
+        weighted = connected_graph_factory(14, weighted=True)
+        for g in (sbm_graph, weighted):
+            for name in FAMILY_NAMES:
+                for p in (0.3, 0.5):
+                    m = family_matrix(g, name, p)
+                    kind = family(name).kind
+                    assert isinstance(m, DistanceMatrix if kind == "distance" else ProximityMatrix)
+                    assert np.array_equal(m.matrix, m.matrix.T)
+                    if kind == "distance":
+                        assert np.all(np.diagonal(m.matrix) == 0.0)
+                        assert not m.matrix.flags.writeable
 
     def test_pwalk_scaling(self, sbm_graph):
         ev = FamilyEvaluator(sbm_graph)

@@ -11,7 +11,7 @@ from kernelbench import (
     resistance_distance,
 )
 from kernelbench.errors import NegativeDistance
-from kernelbench.families import DistanceMatrix, distance_matrix, proximity_matrix
+from kernelbench.families import DistanceMatrix, ProximityMatrix, distance_matrix
 from kernelbench.measures import FamilyEvaluator
 
 from conftest import random_connected_graph
@@ -19,7 +19,7 @@ from conftest import random_connected_graph
 
 class TestProximityToDistance:
     def test_identity_kernel(self):
-        d = proximity_to_distance(proximity_matrix(np.eye(3), "For")).matrix
+        d = proximity_to_distance(ProximityMatrix(np.eye(3), "For")).matrix
         assert np.array_equal(d, 2.0 * (1.0 - np.eye(3)))
 
     def test_commute_time_kernel_of_k2(self, k2):
@@ -27,18 +27,25 @@ class TestProximityToDistance:
         assert d[0, 1] == pytest.approx(1.0)  # 0.25 + 0.25 - 2 * (-0.25)
 
     def test_constant_kernel_collapses(self):
-        k = proximity_matrix(np.full((4, 4), 3.7), "Comm")
+        k = ProximityMatrix(np.full((4, 4), 3.7), "Comm")
         assert np.abs(proximity_to_distance(k).matrix).max() == 0.0
 
     def test_negative_distance_raises(self):
         # off-diagonal larger than the diagonal entries
-        k = proximity_matrix(np.array([[0.1, 1.0], [1.0, 0.1]]), "SCT")
+        k = ProximityMatrix(np.array([[0.1, 1.0], [1.0, 0.1]]), "SCT")
         with pytest.raises(NegativeDistance):
             proximity_to_distance(k)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_raises(self, bad):
+        m = np.eye(3)
+        m[0, 2] = m[2, 0] = bad
+        with pytest.raises(NegativeDistance, match="not finite"):
+            proximity_to_distance(ProximityMatrix(m, "Comm"))
+
     def test_tiny_negative_clamped(self):
         m = np.array([[1.0, 1.0 + 2e-11], [1.0 + 2e-11, 1.0]])
-        d = proximity_to_distance(proximity_matrix(m, "SCT")).matrix
+        d = proximity_to_distance(ProximityMatrix(m, "SCT")).matrix
         assert d[0, 1] == 0.0
 
     def test_sqrt_of_induced_distance_is_metric(self, rng):
@@ -47,7 +54,7 @@ class TestProximityToDistance:
             n = int(rng.integers(3, 16))
             points = rng.normal(size=(n, 3))
             gram = points @ points.T
-            d = np.sqrt(proximity_to_distance(proximity_matrix(gram, "K")).matrix)
+            d = np.sqrt(proximity_to_distance(ProximityMatrix(gram, "K")).matrix)
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
@@ -118,15 +125,15 @@ class TestRejectDistanceAndPipeline:
         assert np.abs(d.matrix - proximity_to_distance(kernel).matrix).max() == 0.0
 
     def test_negative_distance_propagates(self):
-        k = proximity_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "SCT")
+        k = ProximityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "SCT")
         with pytest.raises(NegativeDistance):
             reject_distance(k)
 
     def test_pipeline_for_distance_families_is_squared(self, sbm_graph):
         ev = FamilyEvaluator(sbm_graph)
-        delta = ev.matrix("SP-CT", 0.5)
-        sq = clustering_sqdist(delta)
-        assert np.abs(sq - delta.matrix ** 2).max() <= 1e-8
+        for name in ("RSP", "FE", "SP-CT"):
+            delta = ev.matrix(name, 0.5)
+            assert np.array_equal(clustering_sqdist(delta), delta.matrix * delta.matrix)
 
     def test_pipeline_for_kernels_is_induced_distance(self, sbm_graph):
         ev = FamilyEvaluator(sbm_graph)

@@ -34,20 +34,7 @@ from .graph import (
     laplacian,
     shortest_path_matrix,
 )
-from .measures import (
-    FamilyEvaluator,
-    comm_kernel,
-    ct_kernel,
-    family_matrix,
-    forest_kernel,
-    heat_kernel,
-    log_kernel,
-    pwalk_kernel,
-    resistance_distance,
-    rsp_fe_distance,
-    sct_scct_kernel,
-    spct_distance,
-)
+from .measures import FamilyEvaluator, family_matrix, log_kernel
 from .evaluation import (
     RejectCurve,
     Statistic,
@@ -64,8 +51,6 @@ from .evaluation import (
 )
 from .spectral import (
     SymmetricEigen,
-    matrix_exp_sym,
-    pinv_laplacian,
     solve_linear,
     sym_eigen,
 )

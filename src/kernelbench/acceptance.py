@@ -27,19 +27,10 @@ from .evaluation import (
     sweep_graphs,
     sweep_task,
 )
-from .families import FAMILY_NAMES
-from .generators import uniform_spec
+from .families import FAMILY_NAMES, DistanceMatrix, ProximityMatrix, distance_matrix
+from .generators import generate, uniform_spec
 from .graph import build_graph, shortest_path_matrix
-from .measures import (
-    FamilyEvaluator,
-    ct_kernel,
-    forest_kernel,
-    heat_kernel,
-    log_kernel,
-    pwalk_kernel,
-    resistance_distance,
-)
-from .spectral import matrix_exp_sym
+from .measures import FamilyEvaluator
 from .transforms import distance_to_kernel, proximity_to_distance
 
 DEFAULT_SEED = 20240501
@@ -342,29 +333,22 @@ def criterion_a5(seed: int, workers: int, data_root=None) -> CriterionResult:
 
     # pWalk kernel vs truncated walk-weight series
     spec = uniform_spec(8, 2, 0.9, 0.5, seed=seed + 5)
-    from .generators import generate
-
     g8 = generate(spec, 0)
     ev = FamilyEvaluator(g8)
-    t = 0.3 / ev.spectral_radius
-    k_pwalk = pwalk_kernel(g8, t).matrix
-    series = neumann_series(g8.adjacency, t, 200)
-    if np.abs(k_pwalk - series).max() > 1e-8:
+    series = neumann_series(g8.adjacency, ev.raw_parameter("pWalk", 0.3), 200)
+    if np.abs(ev.matrix("pWalk", 0.3).matrix - series).max() > 1e-8:
         checks.append("pWalk vs walk series mismatch")
 
-    # symmetric matrix exponential vs truncated Taylor series
-    m = rng.normal(size=(8, 8))
-    m = (m + m.T) / 2.0
-    m *= 2.0 / max(1.0, float(np.linalg.norm(m, 2)))
-    if np.abs(matrix_exp_sym(m) - taylor_exp(m)).max() > 1e-8:
-        checks.append("matrix exp vs Taylor mismatch")
+    # communicability exp(tA) vs truncated Taylor series
+    taylor = taylor_exp(ev.raw_parameter("Comm", 0.2) * g8.adjacency)
+    if np.abs(ev.matrix("Comm", 0.2).matrix - taylor).max() > 1e-8:
+        checks.append("Comm vs Taylor mismatch")
 
     # resistance against series/parallel hand values
-    k3 = build_graph(1.0 - np.eye(3))
-    r3 = resistance_distance(k3).matrix
+    r3 = FamilyEvaluator(build_graph(1.0 - np.eye(3))).resistance_matrix
     if abs(r3[0, 1] - 2.0 / 3.0) > 1e-10:
         checks.append(f"K3 resistance {r3[0, 1]} != 2/3")
-    rp3 = resistance_distance(_p3()).matrix
+    rp3 = FamilyEvaluator(_p3()).resistance_matrix
     if abs(rp3[0, 2] - 2.0) > 1e-10:
         checks.append(f"P3 end resistance {rp3[0, 2]} != 2")
 
@@ -374,16 +358,12 @@ def criterion_a5(seed: int, workers: int, data_root=None) -> CriterionResult:
 
 def criterion_a6(seed: int, workers: int, data_root=None) -> CriterionResult:
     """Invariant suite: symmetry, row sums, dualities, determinism."""
-    from .generators import generate
-
     checks: list[str] = []
     spec = uniform_spec(60, 2, 0.3, 0.1, seed=seed + 30)
     g = generate(spec, 0)
     ev = FamilyEvaluator(g)
 
     # kernel symmetry plus distance-kind invariants for every family
-    from .families import DistanceMatrix
-
     for name in FAMILY_NAMES:
         for p in (0.3, 0.7):
             m = ev.matrix(name, p)
@@ -393,21 +373,21 @@ def criterion_a6(seed: int, workers: int, data_root=None) -> CriterionResult:
                 if np.abs(np.diagonal(m.matrix)).max() > 1e-8 or m.matrix.min() < 0:
                     checks.append(f"{name} distance invariants broken at p={p}")
 
-    # Heat and For rows sum to 1
-    for t in (0.1, 1.0, 5.0):
-        for kernel in (forest_kernel(g, t), heat_kernel(g, t)):
-            if np.abs(kernel.matrix.sum(axis=1) - 1.0).max() > 1e-8:
-                checks.append(f"{kernel.family} row sums differ from 1 at t={t}")
+    # Heat and For rows sum to 1 (t = p/(1-p) from 1/9 to 5)
+    for p in (0.1, 0.5, 5.0 / 6.0):
+        for name in ("For", "Heat"):
+            if np.abs(ev.matrix(name, p).matrix.sum(axis=1) - 1.0).max() > 1e-8:
+                checks.append(f"{name} row sums differ from 1 at p={p:g}")
 
     # commute-time duality: induced distance equals effective resistance
-    induced = proximity_to_distance(ct_kernel(g)).matrix
-    if np.abs(induced - resistance_distance(g).matrix).max() > 1e-10:
+    induced = proximity_to_distance(ProximityMatrix(ev.lap_pinv, "CT")).matrix
+    if np.abs(induced - ev.resistance_matrix).max() > 1e-10:
         checks.append("CT-induced distance != resistance distance")
 
     # cutpoint additivity of the logFor-induced distance on a path
-    p3 = _p3()
+    ev3 = FamilyEvaluator(_p3())
     for t in np.geomspace(0.05, 20.0, 10):
-        d = proximity_to_distance(log_kernel(forest_kernel(p3, float(t)))).matrix
+        d = proximity_to_distance(ev3.matrix("logFor", float(t / (1.0 + t)))).matrix
         if abs(d[0, 1] + d[1, 2] - d[0, 2]) > 1e-8:
             checks.append(f"logFor cutpoint additivity fails at t={t:g}")
 
@@ -416,9 +396,7 @@ def criterion_a6(seed: int, workers: int, data_root=None) -> CriterionResult:
     rng = np.random.default_rng(seed + 31)
     pts = rng.normal(size=(12, 3))
     delta = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-    from .families import distance_matrix as make_distance
-
-    kernel = distance_to_kernel(make_distance(delta, "euclidean"))
+    kernel = distance_to_kernel(distance_matrix(delta, "euclidean"))
     back = proximity_to_distance(kernel).matrix
     if np.abs(back - delta ** 2).max() > 1e-8:
         checks.append("double-centering roundtrip misses squared distances")
@@ -453,8 +431,6 @@ def criterion_a7(seed: int, workers: int, data_root=None) -> CriterionResult:
     1/beta, FE - SP -> c/beta with c >= 0 from :func:`fe_limit_offset`, so
     FE at beta = 20 must be within 1e-2 of SP + c/beta.
     """
-    from .generators import generate
-
     beta = 20.0
     checks: list[str] = []
     gaps: list[str] = []

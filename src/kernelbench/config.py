@@ -8,15 +8,14 @@ unknown keys are rejected.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, ParameterOutOfRange
 from .evaluation import Statistic
-from .families import FAMILIES, RATIO
+from .families import FAMILIES, check_constants
 from .generators import BlockModelSpec, block_model_spec, six_class_spec, two_class_unequal_spec, uniform_spec
 
 KINDS = ("sweep", "tournament", "reject", "datasets")
@@ -28,6 +27,10 @@ _TOP_KEYS = {
 _UNIFORM_TASK_KEYS = {"nodes", "classes", "p_in", "p_out"}
 _UNEQUAL_TASK_KEYS = {"nodes", "n1", "p_in", "p_out"}
 _GENERAL_TASK_KEYS = {"sizes", "probabilities"}
+
+# Integer settings and their least values, alike in a config file and in
+# the CLI overrides.
+_LEAST = {"seed": 0, "workers": 0, "grid": 1, "graphs": 1}
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,12 @@ class ExperimentConfig:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigInvalid(message)
+
+
+def _count(key: str, value) -> int:
+    _require(isinstance(value, int) and value >= _LEAST[key],
+             f"'{key}' must be an integer >= {_LEAST[key]}")
+    return value
 
 
 def _task_spec(entry, index: int, seed: int) -> BlockModelSpec:
@@ -86,35 +95,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(not bad, f"unknown families: {bad}")
     _require(len(set(families)) == len(families), "duplicate family names")
 
-    seed = raw.get("seed", 1)
-    _require(isinstance(seed, int) and seed >= 0, "'seed' must be a nonnegative integer")
-
-    grid_default = 55 if kind == "datasets" else 50
-    grid_size = raw.get("grid", grid_default)
-    _require(isinstance(grid_size, int) and grid_size >= 1, "'grid' must be a positive integer")
-
-    graphs = raw.get("graphs", 1 if kind == "datasets" else 50)
-    _require(isinstance(graphs, int) and graphs >= 1, "'graphs' must be a positive integer")
+    seed = _count("seed", raw.get("seed", 1))
+    grid_size = _count("grid", raw.get("grid", 55 if kind == "datasets" else 50))
+    graphs = _count("graphs", raw.get("graphs", 1 if kind == "datasets" else 50))
 
     try:
         statistic = Statistic.parse(str(raw.get("statistic", "max")))
     except Exception as exc:
         raise ConfigInvalid(f"bad 'statistic': {exc}") from None
 
-    workers = raw.get("workers", 1)
-    _require(isinstance(workers, int) and workers >= 0, "'workers' must be >= 0")
-
-    constants = raw.get("constants", {})
-    _require(isinstance(constants, dict), "'constants' must map family -> c")
-    bad = [f for f in constants if f not in FAMILIES]
-    _require(not bad, f"constants for unknown families: {bad}")
-    unscaled = [f for f in constants if FAMILIES[f].scaling != RATIO]
-    _require(not unscaled, f"constants only scale t = c*p/(1-p) families, not {unscaled}")
-    for name, c in constants.items():
-        _require(isinstance(c, (int, float)) and not isinstance(c, bool)
-                 and math.isfinite(c) and c > 0,
-                 f"constant for {name} must be a finite number > 0, got {c!r}")
-    constants = {str(k): float(v) for k, v in constants.items()}
+    workers = _count("workers", raw.get("workers", 1))
+    try:
+        constants = check_constants(raw.get("constants", {}))
+    except ParameterOutOfRange as exc:
+        raise ConfigInvalid(str(exc)) from None
 
     tasks_raw = raw.get("tasks", ())
     _require(isinstance(tasks_raw, (list, tuple)) and len(tasks_raw) > 0,
@@ -169,7 +163,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def apply_overrides(cfg: ExperimentConfig, seed=None, workers=None, out=None,
                     grid=None, graphs=None) -> ExperimentConfig:
-    """CLI flag overrides; a new seed re-derives the per-task spec seeds."""
+    """CLI flag overrides, checked as in a config file; a new seed
+    re-derives the per-task spec seeds."""
+    for key, value in (("seed", seed), ("workers", workers), ("grid", grid), ("graphs", graphs)):
+        if value is not None:
+            _count(key, value)
     if seed is not None and seed != cfg.seed and cfg.kind != "datasets":
         tasks = tuple(
             dataclasses.replace(spec, seed=seed + i) for i, spec in enumerate(cfg.tasks)

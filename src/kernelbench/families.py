@@ -7,11 +7,13 @@ determines the kind and how p is rescaled to the family's native parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .errors import NegativeDistance, NotFound
+from .errors import NegativeDistance, NotFound, ParameterOutOfRange
 
 PROXIMITY = "proximity"
 DISTANCE = "distance"
@@ -63,6 +65,26 @@ def family(name: str) -> MeasureFamily:
         return FAMILIES[name]
     except KeyError:
         raise NotFound(f"unknown measure family: {name!r}") from None
+
+
+def check_constants(constants) -> dict[str, float]:
+    """Validate the scaling constants c of t = c*p/(1-p), as floats.
+
+    Each key must name a ratio-scaled family and each value must be a finite
+    number > 0; anything else raises :class:`ParameterOutOfRange`.
+    """
+    if not isinstance(constants, dict):
+        raise ParameterOutOfRange("'constants' must map family -> c")
+    bad = [f for f in constants if f not in FAMILIES]
+    if bad:
+        raise ParameterOutOfRange(f"constants for unknown families: {bad}")
+    unscaled = [f for f in constants if FAMILIES[f].scaling != RATIO]
+    if unscaled:
+        raise ParameterOutOfRange(f"constants only scale t = c*p/(1-p) families, not {unscaled}")
+    for name, c in constants.items():
+        if not (isinstance(c, Real) and not isinstance(c, bool) and math.isfinite(c) and c > 0):
+            raise ParameterOutOfRange(f"constant for {name} must be a finite number > 0, got {c!r}")
+    return {str(k): float(v) for k, v in constants.items()}
 
 
 @dataclass(frozen=True, eq=False)

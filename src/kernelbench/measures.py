@@ -9,7 +9,10 @@ pipeline, and SP-CT blends shortest-path with resistance distances.
 
 :class:`FamilyEvaluator` caches the per-graph spectral work (eigensystems,
 pseudoinverse, shortest paths) so sweeping a parameter grid only pays for
-the per-parameter recombination.
+the per-parameter recombination.  Its ``matrix(name, p)`` is the one way to
+build a family's matrix: ``raw_parameter`` checks the normalized parameter,
+and the constructor checks the scaling constants, so the kernel helpers
+take a native parameter already in range.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from .families import (
     SPECTRAL,
     DistanceMatrix,
     ProximityMatrix,
+    check_constants,
     distance_matrix,
     family,
 )
-from .graph import Graph, is_connected, laplacian, shortest_path_matrix
+from .graph import Graph, edge_cost_matrix, is_connected, laplacian, shortest_path_matrix
 from .spectral import SymmetricEigen, pinv_from_eigen, solve_linear, spectral_apply, sym_eigen
 
 # Walk kernels stay this fraction inside the open interval (0, 1/rho).
@@ -53,25 +57,15 @@ def _spectral_radius(eigen: SymmetricEigen) -> float:
     return float(max(abs(values[0]), abs(values[-1])))
 
 
-def _require_positive(t: float, name: str) -> None:
-    if not (t > 0.0):
-        raise ParameterOutOfRange(f"{name} needs t > 0, got {t!r}")
-
-
 def _pwalk_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
-    rho = _spectral_radius(eigen)
-    if t <= 0.0 or (rho > 0.0 and t >= 1.0 / rho):
-        raise ParameterOutOfRange(f"pWalk needs 0 < t < 1/rho = {1.0 / rho if rho else np.inf:g}")
     return ProximityMatrix(spectral_apply(eigen, 1.0 / (1.0 - t * eigen.values)), "pWalk", t)
 
 
 def _forest_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
-    _require_positive(t, "For")
     return ProximityMatrix(spectral_apply(eigen, 1.0 / (1.0 + t * eigen.values)), "For", t)
 
 
 def _comm_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
-    _require_positive(t, "Comm")
     top = t * float(eigen.values[-1]) if eigen.values.size else 0.0
     if top > EXP_MAX:
         raise NumericalOverflow(f"exp({top:g}) exceeds float64 range")
@@ -79,14 +73,12 @@ def _comm_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
 
 
 def _heat_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
-    _require_positive(t, "Heat")
     return ProximityMatrix(spectral_apply(eigen, np.exp(-t * eigen.values)), "Heat", t)
 
 
 def _log_comm_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
     # ln exp(tA) computed in a shifted domain so large t cannot overflow:
     # exp(tA) = e^shift * Q exp(t Lambda - shift) Q^T with shift = t lambda_max.
-    _require_positive(t, "logComm")
     shift = t * float(eigen.values[-1]) if eigen.values.size else 0.0
     scaled = spectral_apply(eigen, np.exp(t * eigen.values - shift))
     low = scaled.min() if scaled.size else 1.0
@@ -117,7 +109,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid_kernel(base: np.ndarray, sigma: float, t: float, name: str) -> ProximityMatrix:
-    _require_positive(t, name)
     if not (sigma > 0.0):
         raise DegenerateKernel(f"{name}: base kernel is constant (sigma = {sigma:g})")
     return ProximityMatrix(_stable_sigmoid(t * base / sigma), name, t)
@@ -132,13 +123,14 @@ class FamilyEvaluator:
         Connected graph to evaluate on.
     constants : dict, optional
         Per-family scaling constants c for the t = c*p/(1-p) map; default 1.
+        Each must be a finite number > 0 keyed by such a family.
     """
 
     def __init__(self, g: Graph, constants: dict[str, float] | None = None):
         if not is_connected(g):
             raise Disconnected("measure families need a connected graph")
         self.graph = g
-        self.constants = dict(constants or {})
+        self.constants = check_constants(constants or {})
 
     # -- cached per-graph state ------------------------------------------
 
@@ -199,10 +191,9 @@ class FamilyEvaluator:
 
     @cached_property
     def edge_costs(self) -> np.ndarray:
-        # Traversal cost on edge support only: 1/w for weighted edges,
-        # 1 for unit weights, 0 elsewhere (never read off-support).
-        a = self.graph.adjacency
-        return np.where(a > 0.0, 1.0 / np.where(a > 0.0, a, 1.0), 0.0)
+        # edge_cost_matrix with 0 instead of inf off the edge support
+        # (never read there), so costs * w stays finite.
+        return np.where(self.graph.adjacency > 0.0, edge_cost_matrix(self.graph), 0.0)
 
     # -- family dispatch ---------------------------------------------------
 
@@ -254,7 +245,6 @@ class FamilyEvaluator:
         raise AssertionError(f"unhandled family {fam.name}")  # pragma: no cover
 
     def _rsp_fe(self, beta: float, variant: str) -> DistanceMatrix:
-        _require_positive(beta, variant)
         d = self.degrees
         if np.any(d <= 0.0):
             raise ZeroDegree(f"{variant} needs all degrees positive")
@@ -281,64 +271,6 @@ class FamilyEvaluator:
             delta = (phi + phi.T) / 2.0
         np.fill_diagonal(delta, 0.0)
         return distance_matrix(delta, variant, beta)
-
-
-# -- one-shot spec operations -------------------------------------------------
-
-def pwalk_kernel(g: Graph, t: float) -> ProximityMatrix:
-    """Random-walk resolvent kernel (I - tA)^-1, 0 < t < 1/rho(A)."""
-    return _pwalk_from_eigen(sym_eigen(g.adjacency), t)
-
-
-def forest_kernel(g: Graph, t: float) -> ProximityMatrix:
-    """Regularized Laplacian kernel (I + tL)^-1, t > 0; rows sum to 1."""
-    return _forest_from_eigen(sym_eigen(laplacian(g)), t)
-
-
-def comm_kernel(g: Graph, t: float) -> ProximityMatrix:
-    """Communicability kernel exp(tA), t > 0."""
-    return _comm_from_eigen(sym_eigen(g.adjacency), t)
-
-
-def heat_kernel(g: Graph, t: float) -> ProximityMatrix:
-    """Heat kernel exp(-tL), t > 0; rows sum to 1."""
-    return _heat_from_eigen(sym_eigen(laplacian(g)), t)
-
-
-def ct_kernel(g: Graph) -> ProximityMatrix:
-    """Commute-time kernel: pseudoinverse of the Laplacian."""
-    return ProximityMatrix(FamilyEvaluator(g).lap_pinv, "CT")
-
-
-def resistance_distance(g: Graph) -> DistanceMatrix:
-    """Effective resistance r_ij = L+_ii + L+_jj - 2 L+_ij (a metric)."""
-    return distance_matrix(FamilyEvaluator(g).resistance_matrix, "resistance")
-
-
-def spct_distance(g: Graph, lam: float) -> DistanceMatrix:
-    """Convex blend (1-lam) * shortest-path + lam * resistance distances."""
-    if not (0.0 <= lam <= 1.0):
-        raise ParameterOutOfRange(f"SP-CT needs lambda in [0, 1], got {lam!r}")
-    return FamilyEvaluator(g).matrix("SP-CT", lam)
-
-
-def sct_scct_kernel(g: Graph, t: float, corrected: bool) -> ProximityMatrix:
-    """Sigmoid (corrected) commute-time kernel: 1/(1 + exp(-t k_ij / sigma)).
-
-    sigma is the standard deviation over all N^2 entries of the base kernel.
-    """
-    ev = FamilyEvaluator(g)
-    if corrected:
-        return _sigmoid_kernel(ev.cct_base, ev.cct_sigma, t, "SCCT")
-    return _sigmoid_kernel(ev.lap_pinv, ev.ct_sigma, t, "SCT")
-
-
-def rsp_fe_distance(g: Graph, beta: float, variant: str) -> DistanceMatrix:
-    """Randomized-shortest-path or free-energy dissimilarity at inverse
-    temperature beta > 0."""
-    if variant not in ("RSP", "FE"):
-        raise ParameterOutOfRange(f"variant must be RSP or FE, got {variant!r}")
-    return FamilyEvaluator(g)._rsp_fe(beta, variant)
 
 
 def family_matrix(g: Graph, name: str, p: float,

@@ -54,12 +54,6 @@ def spectral_apply(eigen: SymmetricEigen, transformed_values: np.ndarray) -> np.
     return (out + out.T) / 2.0
 
 
-def matrix_exp_sym(m: np.ndarray) -> np.ndarray:
-    """exp(M) for symmetric M via eigendecomposition."""
-    eigen = sym_eigen(m)
-    return spectral_apply(eigen, np.exp(eigen.values))
-
-
 def solve_linear(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve M X = B, verifying the residual.
 
@@ -79,11 +73,6 @@ def solve_linear(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not np.isfinite(residual) or residual > 1e-8 * scale:
         raise Singular(f"solve residual {residual:g} exceeds 1e-8 * {scale:g}")
     return x
-
-
-def pinv_laplacian(lap: np.ndarray, rtol: float = PINV_RTOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a connected graph's Laplacian."""
-    return pinv_from_eigen(sym_eigen(lap), rtol)
 
 
 def pinv_from_eigen(eigen: SymmetricEigen, rtol: float = PINV_RTOL) -> np.ndarray:

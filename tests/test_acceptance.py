@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from kernelbench import rsp_fe_distance, shortest_path_matrix, uniform_spec
+from kernelbench import shortest_path_matrix, uniform_spec
 from kernelbench.acceptance import CRITERIA, DEFAULT_SEED, fe_limit_offset, run_acceptance
 from kernelbench.generators import generate
 from kernelbench.graph import build_graph
@@ -79,7 +79,7 @@ def test_a7_rsp_low_temperature_limit_holds():
     g10 = generate(uniform_spec(10, 2, 0.6, 0.3, seed=DEFAULT_SEED + 40), 0)
     for g in (p3, g10):
         sp = shortest_path_matrix(g).matrix
-        delta = rsp_fe_distance(g, 20.0, "RSP").matrix
+        delta = FamilyEvaluator(g, {"RSP": 20.0}).matrix("RSP", 0.5).matrix  # beta = 20
         assert np.abs(delta - sp).max() <= 1e-2
 
 
@@ -87,7 +87,7 @@ def test_a7_fe_matches_entropy_corrected_limit():
     # what FE actually converges to: SP - ln(N)/beta, with N the
     # reference-walk probability mass of the shortest walks (1/2 on P3)
     p3 = build_graph(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]]))
-    delta = rsp_fe_distance(p3, 20.0, "FE").matrix
+    delta = FamilyEvaluator(p3, {"FE": 20.0}).matrix("FE", 0.5).matrix  # beta = 20
     assert delta[0, 2] == pytest.approx(2.0 + math.log(2.0) / 20.0, abs=1e-6)
 
 
@@ -115,7 +115,7 @@ def test_a7_grid_lower_bound_holds():
         sp = shortest_path_matrix(g).matrix
         for p in np.linspace(0.02, 0.98, 50):
             for variant in ("RSP", "FE"):
-                delta = ev._rsp_fe(ev.raw_parameter(variant, float(p)), variant).matrix
+                delta = ev.matrix(variant, float(p)).matrix
                 assert (delta - sp).min() >= -1e-8
 
 

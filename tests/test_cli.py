@@ -213,6 +213,16 @@ class TestCliMain:
         assert main(["run", str(_write_cfg(tmp_path, text))]) == 2
         assert "constant for Heat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--graphs", "0"), ("--seed", "-3"), ("--workers", "-2"), ("--grid", "0"),
+    ])
+    def test_bad_override_rejected_before_run(self, tmp_path, capsys, flag, value):
+        # the config file's rules hold for the flags too, and nothing is written
+        path = _write_cfg(tmp_path, MINI_SWEEP.format(out=tmp_path / "o"))
+        assert main(["run", str(path), flag, value]) == 2
+        assert f"'{flag[2:]}' must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_verify_only_unknown(self, capsys):
         assert main(["verify", "--only", "A9"]) == 2
 

@@ -6,24 +6,18 @@ import pytest
 from kernelbench import (
     FAMILY_NAMES,
     build_graph,
-    comm_kernel,
-    ct_kernel,
     family,
     family_matrix,
-    forest_kernel,
-    heat_kernel,
     log_kernel,
-    pwalk_kernel,
-    resistance_distance,
-    rsp_fe_distance,
-    sct_scct_kernel,
+    parameter_grid,
     shortest_path_matrix,
-    spct_distance,
+    sweep,
 )
 from kernelbench.acceptance import neumann_series
 from kernelbench.errors import (
     DegenerateKernel,
     Disconnected,
+    KernelBenchError,
     NonPositiveEntry,
     NotFound,
     NumericalOverflow,
@@ -34,58 +28,57 @@ from kernelbench.families import DistanceMatrix, ProximityMatrix
 from kernelbench.measures import FamilyEvaluator, _sigmoid_kernel
 from kernelbench.transforms import proximity_to_distance
 
+# With the default constant c = 1, t = p/(1-p): p = 0.5 gives t = 1 exactly,
+# and p = t/(1+t) gives t up to rounding.
+
+
+def _p(t):
+    return t / (1.0 + t)
+
 
 class TestPWalk:
     def test_tiny_t_is_identity(self, k2):
-        k = pwalk_kernel(k2, 1e-9).matrix
+        k = FamilyEvaluator(k2).matrix("pWalk", 1e-9).matrix
         assert np.abs(k - np.eye(2)).max() <= 1e-6
 
     def test_k2_half(self, k2):
-        # (I - A/2)^-1 for the single edge, inverted by hand
-        expected = np.array([[4 / 3, 2 / 3], [2 / 3, 4 / 3]])
-        assert np.abs(pwalk_kernel(k2, 0.5).matrix - expected).max() <= 1e-12
+        # (I - tA)^-1 for the single edge, inverted by hand; rho(K2) = 1 puts
+        # p = 0.5 just inside t = 1/2
+        ev = FamilyEvaluator(k2)
+        t = ev.raw_parameter("pWalk", 0.5)
+        assert t == pytest.approx(0.5, rel=1e-4)
+        expected = np.array([[1.0, t], [t, 1.0]]) / (1.0 - t * t)
+        assert np.abs(ev.matrix("pWalk", 0.5).matrix - expected).max() <= 1e-12
 
     def test_matches_walk_series(self, sbm_graph):
         ev = FamilyEvaluator(sbm_graph)
-        t = 0.3 / ev.spectral_radius
-        series = neumann_series(sbm_graph.adjacency, t, 200)
-        assert np.abs(pwalk_kernel(sbm_graph, t).matrix - series).max() <= 1e-8
+        series = neumann_series(sbm_graph.adjacency, ev.raw_parameter("pWalk", 0.3), 200)
+        assert np.abs(ev.matrix("pWalk", 0.3).matrix - series).max() <= 1e-8
 
     def test_entrywise_nonnegative(self, sbm_graph):
-        ev = FamilyEvaluator(sbm_graph)
-        k = pwalk_kernel(sbm_graph, 0.9 / ev.spectral_radius).matrix
+        k = FamilyEvaluator(sbm_graph).matrix("pWalk", 0.9).matrix
         assert k.min() >= -1e-10
-
-    def test_out_of_range(self, k2):
-        with pytest.raises(ParameterOutOfRange):
-            pwalk_kernel(k2, 1.0)  # rho(K2) = 1
-        with pytest.raises(ParameterOutOfRange):
-            pwalk_kernel(k2, 0.0)
 
 
 class TestForest:
     def test_tiny_t_is_identity(self, k3):
-        assert np.abs(forest_kernel(k3, 1e-9).matrix - np.eye(3)).max() <= 1e-6
+        k = FamilyEvaluator(k3).matrix("For", 1e-9).matrix
+        assert np.abs(k - np.eye(3)).max() <= 1e-6
 
     def test_k2_unit(self, k2):
         expected = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
-        assert np.abs(forest_kernel(k2, 1.0).matrix - expected).max() <= 1e-12
+        assert np.abs(FamilyEvaluator(k2).matrix("For", 0.5).matrix - expected).max() <= 1e-12
 
     def test_row_sums_one(self, connected_graph_factory):
-        g = connected_graph_factory(12)
+        ev = FamilyEvaluator(connected_graph_factory(12))
         for t in (0.05, 1.0, 9.0):
-            rows = forest_kernel(g, t).matrix.sum(axis=1)
+            rows = ev.matrix("For", _p(t)).matrix.sum(axis=1)
             assert np.abs(rows - 1.0).max() <= 1e-8
 
     def test_entries_in_unit_interval(self, connected_graph_factory):
-        g = connected_graph_factory(9)
-        k = forest_kernel(g, 2.0).matrix
+        k = FamilyEvaluator(connected_graph_factory(9)).matrix("For", _p(2.0)).matrix
         assert k.min() > 0.0
         assert k.max() <= 1.0 + 1e-12
-
-    def test_nonpositive_t(self, k2):
-        with pytest.raises(ParameterOutOfRange):
-            forest_kernel(k2, 0.0)
 
 
 class TestCommAndHeat:
@@ -94,18 +87,19 @@ class TestCommAndHeat:
             [math.cosh(1.0), math.sinh(1.0)],
             [math.sinh(1.0), math.cosh(1.0)],
         ])
-        assert np.abs(comm_kernel(k2, 1.0).matrix - expected).max() <= 1e-10
+        assert np.abs(FamilyEvaluator(k2).matrix("Comm", 0.5).matrix - expected).max() <= 1e-10
 
     def test_comm_diag_at_least_one(self, connected_graph_factory):
         # even powers of A contribute cosh-type nonnegative diagonal terms
         for n in (6, 15):
-            g = connected_graph_factory(n)
+            ev = FamilyEvaluator(connected_graph_factory(n))
             for t in (0.1, 0.7):
-                assert np.diagonal(comm_kernel(g, t).matrix).min() >= 1.0 - 1e-10
+                assert np.diagonal(ev.matrix("Comm", _p(t)).matrix).min() >= 1.0 - 1e-10
 
     def test_comm_overflow_guarded(self, k5):
+        # t = 9999 and rho(K5) = 4
         with pytest.raises(NumericalOverflow):
-            comm_kernel(k5, 1e4)
+            FamilyEvaluator(k5).matrix("Comm", 0.9999)
 
     def test_heat_k2_spectral_formula(self, k2):
         # Laplacian eigenvalues {0, 2} give entries (1 +- e^-2t)/2
@@ -113,18 +107,19 @@ class TestCommAndHeat:
             [(1 + math.exp(-2)) / 2, (1 - math.exp(-2)) / 2],
             [(1 - math.exp(-2)) / 2, (1 + math.exp(-2)) / 2],
         ])
-        assert np.abs(heat_kernel(k2, 1.0).matrix - expected).max() <= 1e-12
+        assert np.abs(FamilyEvaluator(k2).matrix("Heat", 0.5).matrix - expected).max() <= 1e-12
 
     def test_heat_rows_one_and_positive(self, connected_graph_factory):
-        g = connected_graph_factory(11)
+        ev = FamilyEvaluator(connected_graph_factory(11))
         for t in (0.2, 2.0, 20.0):
-            k = heat_kernel(g, t).matrix
+            k = ev.matrix("Heat", _p(t)).matrix
             assert np.abs(k.sum(axis=1) - 1.0).max() <= 1e-8
             assert k.min() > 0.0
 
     def test_tiny_t_identity(self, k3):
-        for kernel in (comm_kernel(k3, 1e-9), heat_kernel(k3, 1e-9)):
-            assert np.abs(kernel.matrix - np.eye(3)).max() <= 1e-6
+        ev = FamilyEvaluator(k3)
+        for name in ("Comm", "Heat"):
+            assert np.abs(ev.matrix(name, 1e-9).matrix - np.eye(3)).max() <= 1e-6
 
 
 class TestLogKernel:
@@ -133,7 +128,7 @@ class TestLogKernel:
         assert np.array_equal(log_kernel(k).matrix, np.zeros((3, 3)))
 
     def test_forest_log_value(self, k2):
-        logged = log_kernel(forest_kernel(k2, 1.0)).matrix
+        logged = log_kernel(FamilyEvaluator(k2).matrix("For", 0.5)).matrix
         expected = np.log(np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]]))
         assert np.abs(logged - expected).max() <= 1e-12
 
@@ -144,9 +139,10 @@ class TestLogKernel:
             log_kernel(ProximityMatrix(m, "Comm"))
 
     def test_name_mapping(self, k2):
-        assert log_kernel(forest_kernel(k2, 1.0)).family == "logFor"
-        assert log_kernel(heat_kernel(k2, 1.0)).family == "logHeat"
-        assert log_kernel(pwalk_kernel(k2, 0.5)).family == "Walk"
+        ev = FamilyEvaluator(k2)
+        assert log_kernel(ev.matrix("For", 0.5)).family == "logFor"
+        assert log_kernel(ev.matrix("Heat", 0.5)).family == "logHeat"
+        assert log_kernel(ev.matrix("pWalk", 0.5)).family == "Walk"
 
     def test_log_comm_stable_path_matches(self, sbm_graph):
         ev = FamilyEvaluator(sbm_graph)
@@ -164,41 +160,41 @@ class TestLogKernel:
 
 
 class TestCommuteTime:
+    # the commute-time kernel is the Laplacian pseudoinverse, ev.lap_pinv
     def test_k2_kernel(self, k2):
         expected = np.array([[0.25, -0.25], [-0.25, 0.25]])
-        assert np.abs(ct_kernel(k2).matrix - expected).max() <= 1e-12
+        assert np.abs(FamilyEvaluator(k2).lap_pinv - expected).max() <= 1e-12
 
     def test_zero_row_sums(self, connected_graph_factory):
-        g = connected_graph_factory(10)
-        assert np.abs(ct_kernel(g).matrix @ np.ones(10)).max() <= 1e-8
+        lp = FamilyEvaluator(connected_graph_factory(10)).lap_pinv
+        assert np.abs(lp @ np.ones(10)).max() <= 1e-8
 
     def test_induced_distance_is_resistance(self, connected_graph_factory):
-        g = connected_graph_factory(13)
-        induced = proximity_to_distance(ct_kernel(g)).matrix
-        assert np.abs(induced - resistance_distance(g).matrix).max() <= 1e-10
+        ev = FamilyEvaluator(connected_graph_factory(13))
+        induced = proximity_to_distance(ProximityMatrix(ev.lap_pinv, "CT")).matrix
+        assert np.abs(induced - ev.resistance_matrix).max() <= 1e-10
 
     def test_disconnected(self):
         with pytest.raises(Disconnected):
-            ct_kernel(build_graph(np.zeros((3, 3))))
+            FamilyEvaluator(build_graph(np.zeros((3, 3))))
 
 
 class TestResistance:
     def test_single_edge(self, k2):
-        assert resistance_distance(k2).matrix[0, 1] == pytest.approx(1.0)
+        assert FamilyEvaluator(k2).resistance_matrix[0, 1] == pytest.approx(1.0)
 
     def test_triangle_series_parallel(self, k3):
         # direct unit resistor in parallel with a two-resistor path: 2/3
-        r = resistance_distance(k3).matrix
+        r = FamilyEvaluator(k3).resistance_matrix
         offdiag = r[~np.eye(3, dtype=bool)]
         assert np.abs(offdiag - 2 / 3).max() <= 1e-10
 
     def test_path_series(self, p3):
-        r = resistance_distance(p3).matrix
+        r = FamilyEvaluator(p3).resistance_matrix
         assert r[0, 2] == pytest.approx(2.0, abs=1e-10)
 
     def test_metric(self, connected_graph_factory):
-        g = connected_graph_factory(10)
-        r = resistance_distance(g).matrix
+        r = FamilyEvaluator(connected_graph_factory(10)).resistance_matrix
         for i in range(10):
             for j in range(10):
                 for k in range(10):
@@ -207,29 +203,26 @@ class TestResistance:
 
 class TestSPCT:
     def test_endpoints(self, sbm_graph):
+        ev = FamilyEvaluator(sbm_graph)
         sp = shortest_path_matrix(sbm_graph).matrix
-        assert np.array_equal(spct_distance(sbm_graph, 0.0).matrix, sp)
-        assert np.abs(
-            spct_distance(sbm_graph, 1.0).matrix - resistance_distance(sbm_graph).matrix
-        ).max() <= 1e-12
+        assert np.array_equal(ev.matrix("SP-CT", 0.0).matrix, sp)
+        assert np.abs(ev.matrix("SP-CT", 1.0).matrix - ev.resistance_matrix).max() <= 1e-12
 
     def test_midpoint_on_tree(self, p3):
         # both parents give 2 between the path ends on a tree
-        assert spct_distance(p3, 0.5).matrix[0, 2] == pytest.approx(2.0, abs=1e-10)
-
-    def test_out_of_range(self, p3):
-        with pytest.raises(ParameterOutOfRange):
-            spct_distance(p3, 1.5)
+        d = FamilyEvaluator(p3).matrix("SP-CT", 0.5).matrix
+        assert d[0, 2] == pytest.approx(2.0, abs=1e-10)
 
     def test_disconnected(self):
         with pytest.raises(Disconnected):
-            spct_distance(build_graph(np.zeros((2, 2))), 0.5)
+            family_matrix(build_graph(np.zeros((2, 2))), "SP-CT", 0.5)
 
 
 class TestSigmoidKernels:
     def test_entries_in_unit_interval(self, sbm_graph):
-        for corrected in (False, True):
-            k = sct_scct_kernel(sbm_graph, 2.0, corrected).matrix
+        ev = FamilyEvaluator(sbm_graph)
+        for name in ("SCT", "SCCT"):
+            k = ev.matrix(name, _p(2.0)).matrix
             assert k.min() > 0.0
             assert k.max() < 1.0
 
@@ -248,33 +241,34 @@ class TestSigmoidKernels:
             _sigmoid_kernel(np.ones((3, 3)), 0.0, 1.0, "SCT")
 
     def test_single_node_zero_degree(self):
-        g = build_graph(np.zeros((1, 1)))
+        ev = FamilyEvaluator(build_graph(np.zeros((1, 1))))
         with pytest.raises(ZeroDegree):
-            sct_scct_kernel(g, 1.0, corrected=True)
+            ev.matrix("SCCT", 0.5)
 
-    def test_nonpositive_t(self, sbm_graph):
-        with pytest.raises(ParameterOutOfRange):
-            sct_scct_kernel(sbm_graph, 0.0, corrected=False)
+
+def _rsp_fe(g, beta, variant):
+    # the constant c = beta puts t = c * 0.5 / 0.5 = beta exactly
+    return FamilyEvaluator(g, {variant: beta}).matrix(variant, 0.5).matrix
 
 
 class TestRspFe:
     def test_k2_symmetric_zero_diagonal(self, k2):
         for variant in ("RSP", "FE"):
             for beta in (0.1, 1.0, 10.0):
-                d = rsp_fe_distance(k2, beta, variant).matrix
+                d = _rsp_fe(k2, beta, variant)
                 assert d[0, 0] == 0.0 and d[1, 1] == 0.0
                 assert d[0, 1] == d[1, 0]
                 assert d[0, 1] > 0.0
 
     def test_rsp_low_temperature_limit(self, p3):
-        d = rsp_fe_distance(p3, 20.0, "RSP").matrix
+        d = _rsp_fe(p3, 20.0, "RSP")
         assert abs(d[0, 2] - 2.0) <= 1e-3
 
     def test_fe_low_temperature_entropy_term(self, p3):
         # FE approaches shortest paths only up to -(1/beta) ln P(best walks):
         # through the cut vertex the walk probability is 1/2
         for beta in (20.0, 50.0, 200.0):
-            d = rsp_fe_distance(p3, beta, "FE").matrix
+            d = _rsp_fe(p3, beta, "FE")
             assert d[0, 2] == pytest.approx(2.0 + math.log(2.0) / beta, abs=1e-6)
 
     def test_bracketed_below_by_shortest_path(self, sbm_graph):
@@ -282,28 +276,23 @@ class TestRspFe:
         ev = FamilyEvaluator(sbm_graph)
         for p in np.linspace(0.02, 0.98, 9):
             for variant in ("RSP", "FE"):
-                beta = ev.raw_parameter(variant, float(p))
-                d = ev._rsp_fe(beta, variant).matrix
+                d = ev.matrix(variant, float(p)).matrix
                 assert (d - sp).min() >= -1e-8
-
-    def test_parameter_validation(self, k2):
-        with pytest.raises(ParameterOutOfRange):
-            rsp_fe_distance(k2, 0.0, "RSP")
-        with pytest.raises(ParameterOutOfRange):
-            rsp_fe_distance(k2, 1.0, "XXX")
 
     def test_disconnected(self):
         with pytest.raises(Disconnected):
-            rsp_fe_distance(build_graph(np.zeros((2, 2))), 1.0, "RSP")
+            family_matrix(build_graph(np.zeros((2, 2))), "RSP", 0.5)
 
 
 class TestFamilyDispatch:
-    def test_registry_kinds(self):
+    def test_registry_kinds(self, k2):
         distances = {"RSP", "FE", "SP-CT"}
         for name in FAMILY_NAMES:
             assert family(name).kind == ("distance" if name in distances else "proximity")
         with pytest.raises(NotFound):
             family("nosuch")
+        with pytest.raises(NotFound):
+            family_matrix(k2, "nosuch", 0.5)
 
     def test_every_family_evaluates(self, sbm_graph, connected_graph_factory):
         # exact symmetry and, for distances, an exact zero diagonal: the
@@ -325,7 +314,8 @@ class TestFamilyDispatch:
         ev = FamilyEvaluator(sbm_graph)
         t = ev.raw_parameter("pWalk", 0.5)
         assert t == pytest.approx(0.5 * (1 - 1e-4) / ev.spectral_radius)
-        assert np.array_equal(ev.matrix("pWalk", 0.5).matrix, pwalk_kernel(sbm_graph, t).matrix)
+        resolvent = np.linalg.inv(np.eye(sbm_graph.n) - t * sbm_graph.adjacency)
+        assert np.abs(ev.matrix("pWalk", 0.5).matrix - resolvent).max() <= 1e-10
 
     def test_ratio_scaling(self, sbm_graph):
         ev = FamilyEvaluator(sbm_graph, constants={"Comm": 2.0})
@@ -333,7 +323,8 @@ class TestFamilyDispatch:
         assert ev.raw_parameter("Heat", 0.75) == pytest.approx(3.0)
 
     def test_spct_identity_scaling(self, sbm_graph):
-        direct = spct_distance(sbm_graph, 0.34).matrix
+        ev = FamilyEvaluator(sbm_graph)
+        direct = (1.0 - 0.34) * ev.sp_matrix + 0.34 * ev.resistance_matrix
         assert np.array_equal(family_matrix(sbm_graph, "SP-CT", 0.34).matrix, direct)
 
     def test_log_families_are_logs(self, sbm_graph):
@@ -360,6 +351,17 @@ class TestFamilyDispatch:
             family_matrix(sbm_graph, "Heat", 1.5)
         with pytest.raises(ParameterOutOfRange):
             family_matrix(sbm_graph, "Heat", -0.1)
+        with pytest.raises(ParameterOutOfRange):
+            family_matrix(sbm_graph, "SP-CT", 1.5)
+
+    @pytest.mark.parametrize("constants", [{"Comm": 0.0}, {"pWalk": 2.0}, {"nosuch": 2.0}])
+    def test_bad_constants_raise(self, sbm_graph, constants):
+        # c = 0 would make For quietly return I; pWalk and unknown names
+        # would be ignored
+        with pytest.raises(KernelBenchError):
+            FamilyEvaluator(sbm_graph, constants)
+        with pytest.raises(KernelBenchError):
+            sweep(sbm_graph, "Comm", parameter_grid(3), constants=constants)
 
     def test_disconnected_graph_rejected(self):
         with pytest.raises(Disconnected):

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from kernelbench import (
+    build_graph,
     clustering_sqdist,
-    ct_kernel,
     distance_to_kernel,
-    forest_kernel,
     proximity_to_distance,
     reject_distance,
-    resistance_distance,
 )
 from kernelbench.errors import NegativeDistance
 from kernelbench.families import DistanceMatrix, ProximityMatrix, distance_matrix
@@ -23,7 +21,8 @@ class TestProximityToDistance:
         assert np.array_equal(d, 2.0 * (1.0 - np.eye(3)))
 
     def test_commute_time_kernel_of_k2(self, k2):
-        d = proximity_to_distance(ct_kernel(k2)).matrix
+        ct = ProximityMatrix(FamilyEvaluator(k2).lap_pinv, "CT")
+        d = proximity_to_distance(ct).matrix
         assert d[0, 1] == pytest.approx(1.0)  # 0.25 + 0.25 - 2 * (-0.25)
 
     def test_constant_kernel_collapses(self):
@@ -65,7 +64,8 @@ class TestProximityToDistance:
         # a distance obeying the ordinary triangle inequality
         for _ in range(6):
             g = random_connected_graph(rng, int(rng.integers(4, 12)))
-            kernel = forest_kernel(g, float(rng.uniform(0.1, 3.0)))
+            t = float(rng.uniform(0.1, 3.0))
+            kernel = FamilyEvaluator(g).matrix("For", t / (1.0 + t))
             m = kernel.matrix
             n = m.shape[0]
             holds = all(
@@ -106,20 +106,19 @@ class TestDistanceToKernel:
             for v in range(1, n):
                 u = int(rng.integers(0, v))
                 a[u, v] = a[v, u] = 1.0
-            from kernelbench import build_graph
-
-            delta = resistance_distance(build_graph(a))
+            # SP-CT at p = 1 is the resistance distance
+            delta = FamilyEvaluator(build_graph(a)).matrix("SP-CT", 1.0)
             back = proximity_to_distance(distance_to_kernel(delta)).matrix
             assert np.abs(back - delta.matrix ** 2).max() <= 1e-8
 
 
 class TestRejectDistanceAndPipeline:
     def test_distance_passthrough(self, sbm_graph):
-        d = resistance_distance(sbm_graph)
+        d = FamilyEvaluator(sbm_graph).matrix("SP-CT", 1.0)
         assert reject_distance(d) is d
 
     def test_proximity_dispatch(self, k2):
-        kernel = forest_kernel(k2, 1.0)
+        kernel = FamilyEvaluator(k2).matrix("For", 0.5)
         d = reject_distance(kernel)
         assert isinstance(d, DistanceMatrix)
         assert np.abs(d.matrix - proximity_to_distance(kernel).matrix).max() == 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import ward_merges
+from ._accel import ward_batch, ward_merges
 from .errors import InvalidK, LengthMismatch, MalformedDistance
 from .families import NEG_TOL
 
@@ -97,9 +97,21 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
     return Partition(remap[labels], k)
 
 
+def ward_cuts(stack: np.ndarray, k: int) -> np.ndarray:
+    """Labels of the Ward k-cut of each matrix in a (B, n, n) stack.
+
+    Each matrix must already have passed ``_checked_sqdist``; the stack is
+    overwritten.  Labels match ``cut_dendrogram(ward_linkage(m), k)``.
+    """
+    n = stack.shape[1]
+    if not (1 <= k <= n):
+        raise InvalidK(f"need 1 <= k <= {n}, got {k}")
+    return ward_batch(stack, n - k)
+
+
 def ward_cluster(sqdist: np.ndarray, k: int) -> Partition:
     """Ward clustering of a squared-distance matrix, cut at k clusters."""
-    return cut_dendrogram(ward_linkage(sqdist), k)
+    return Partition(ward_cuts(_checked_sqdist(sqdist)[None], k)[0], k)
 
 
 def _labels_of(partition) -> np.ndarray:

@@ -54,7 +54,8 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _count(key: str, value) -> int:
-    _require(isinstance(value, int) and value >= _LEAST[key],
+    # bool is an int subclass, so YAML's true/false would pass as 1/0
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= _LEAST[key],
              f"'{key}' must be an integer >= {_LEAST[key]}")
     return value
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import adjusted_rand_index, ward_cluster
+from .clustering import _checked_sqdist, adjusted_rand_index, ward_cuts
 from .errors import DegenerateLabels, KernelBenchError, ParameterOutOfRange
 from .families import DistanceMatrix
 from .generators import BlockModelSpec, generate
@@ -31,6 +31,10 @@ from .measures import FamilyEvaluator
 from .transforms import clustering_sqdist, reject_distance
 
 GRID_MARGIN = 0.02
+
+# Float64 entries in one graph's stack of Ward inputs (4 MB): cells are
+# clustered together in stacks of max(1, STACK_ENTRIES // n**2).
+STACK_ENTRIES = 1 << 19
 
 
 def parameter_grid(size: int, lo: float = GRID_MARGIN, hi: float = 1.0 - GRID_MARGIN) -> np.ndarray:
@@ -110,7 +114,8 @@ def _graph_cells(args):
     """Every (family, parameter) cell of one graph.
 
     Returns the (n_families, len(grid)) ARI table and the error cells as
-    (family_index, grid_index, marker); error cells hold -1.0.
+    (family_index, grid_index, marker); error cells hold -1.0.  The checked
+    Ward inputs are clustered in stacks of up to STACK_ENTRIES entries.
     """
     source, families, grid, constants = args
     g = _source_graph(source)
@@ -118,15 +123,33 @@ def _graph_cells(args):
     k = g.num_classes
     table = np.empty((len(families), grid.shape[0]))
     errors = []
+    stack = np.empty((max(1, STACK_ENTRIES // g.n ** 2), g.n, g.n))
+    pending = []
+
+    def cluster_pending():
+        try:
+            labels = ward_cuts(stack[:len(pending)], k)
+            for (fi, j), cut in zip(pending, labels):
+                table[fi, j] = adjusted_rand_index(cut, g.labels)
+        except KernelBenchError as exc:
+            for fi, j in pending:
+                table[fi, j] = -1.0
+                errors.append((fi, j, type(exc).__name__))
+        pending.clear()
+
     for fi, name in enumerate(families):
         for j, p in enumerate(grid):
             try:
                 measure = evaluator.matrix(name, float(p))
-                partition = ward_cluster(clustering_sqdist(measure), k)
-                table[fi, j] = adjusted_rand_index(partition, g.labels)
+                stack[len(pending)] = _checked_sqdist(clustering_sqdist(measure))
+                pending.append((fi, j))
             except KernelBenchError as exc:
                 table[fi, j] = -1.0
                 errors.append((fi, j, type(exc).__name__))
+            if len(pending) == stack.shape[0]:
+                cluster_pending()
+    if pending:
+        cluster_pending()
     return table, errors
 
 

@@ -120,6 +120,18 @@ class TestConfig:
         assert [t.seed for t in updated.tasks] == [100, 101]
         assert updated.grid_size == 7
 
+    @pytest.mark.parametrize("key, value", [("seed", True), ("grid", True), ("workers", False)])
+    def test_boolean_counts_rejected(self, key, value):
+        with pytest.raises(ConfigInvalid, match=f"'{key}' must be an integer"):
+            config_from_dict({"kind": "sweep", "families": ["Heat"], key: value,
+                              "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5, "p_out": 0.1}]})
+
+    def test_boolean_override_rejected(self):
+        cfg = config_from_dict({"kind": "sweep", "families": ["Heat"],
+                                "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5, "p_out": 0.1}]})
+        with pytest.raises(ConfigInvalid, match="'seed' must be an integer"):
+            apply_overrides(cfg, seed=True)
+
     def test_committed_configs_parse(self):
         for name in ("table1", "table2", "fig5", "table4"):
             cfg = load_config(f"configs/{name}.cfg")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kernelbench import generate, uniform_spec
+from kernelbench import evaluation, generate, uniform_spec
 from kernelbench.acceptance import auc_mannwhitney_oracle
 from kernelbench.errors import DegenerateLabels, ParameterOutOfRange
 from kernelbench.evaluation import (
@@ -114,6 +114,21 @@ class TestSweep:
         for name in fams:
             assert np.array_equal(listed[name].ari, pooled[name].ari)
             assert listed[name].errors == pooled[name].errors
+
+    @pytest.mark.parametrize("stack_size", [1, 3])
+    def test_stack_size_changes_no_cell(self, monkeypatch, stack_size):
+        # The default budget clusters all 28 cells in one stack.  Comm at
+        # c = 1e9 overflows on every cell, so with stacks of 3 its error
+        # cells fall while a pWalk cell is still waiting to be clustered.
+        g = generate(uniform_spec(30, 3, 0.4, 0.15, seed=3), 0)
+        job = (g, ["pWalk", "Comm", "logFor", "SP-CT"], parameter_grid(7), {"Comm": 1e9})
+        table, errors = evaluation._graph_cells(job)
+        monkeypatch.setattr(evaluation, "STACK_ENTRIES", stack_size * g.n ** 2)
+        chunked, chunked_errors = evaluation._graph_cells(job)
+        assert np.array_equal(chunked, table)
+        assert chunked_errors == errors
+        assert {marker for _, _, marker in errors} == {"NumericalOverflow"}
+        assert len(set(table[2])) > 1
 
 
 class TestCopeland:

@@ -2,9 +2,14 @@
 
 Ward linkage runs on a squared-distance matrix via the Lance-Williams
 recurrence (merge cost = within-cluster variance increase).  Ties within
-1e-12 of the minimal cost are broken toward the lexicographically smallest
+TIE_TOL of the minimal cost are broken toward the lexicographically smallest
 slot pair, where a cluster's slot is the smallest original node index it
 contains; this makes the merge sequence fully deterministic.
+
+``ward_cuts`` is the one Ward body and runs a stack of matrices at once.
+The public ``ward_linkage`` and ``ward_cluster`` take matrices from outside
+the program, so they check them with ``_checked_sqdist`` and run a stack of
+one.
 """
 
 from __future__ import annotations
@@ -13,9 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import ward_batch, ward_merges
 from .errors import InvalidK, LengthMismatch, MalformedDistance
 from .families import NEG_TOL
+
+# Merge costs closer than this are considered tied; the lexicographically
+# smallest (i, j) slot pair wins.
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +68,11 @@ def _checked_sqdist(sqdist: np.ndarray) -> np.ndarray:
 def ward_linkage(sqdist: np.ndarray) -> Dendrogram:
     """Full Ward merge sequence for a squared-distance matrix."""
     m = _checked_sqdist(sqdist)
-    return Dendrogram(ward_merges(m), m.shape[0])
+    n = m.shape[0]
+    merges = np.empty((1, max(n - 1, 0), 4))
+    if n >= 2:
+        ward_cuts(m[None], 1, merges)
+    return Dendrogram(merges[0], n)
 
 
 def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
@@ -97,16 +109,96 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
     return Partition(remap[labels], k)
 
 
-def ward_cuts(stack: np.ndarray, k: int) -> np.ndarray:
+def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np.ndarray:
     """Labels of the Ward k-cut of each matrix in a (B, n, n) stack.
 
-    Each matrix must already have passed ``_checked_sqdist``; the stack is
-    overwritten.  Labels match ``cut_dendrogram(ward_linkage(m), k)``.
+    ``stack`` is a C-contiguous float64 stack of squared distances, each
+    finite, nonnegative and exactly symmetric with a zero diagonal (what
+    ``transforms.clustering_sqdist`` returns and ``_checked_sqdist``
+    enforces); it is overwritten.  Returns the (B, n) labels of the
+    partition left after n - k merges, clusters numbered by their smallest
+    node, as ``cut_dendrogram(ward_linkage(m), k)`` numbers them.  If
+    ``merges`` is a (B, n - k, 4) array, it receives each matrix's
+    (id_a, id_b, merge_cost, new_size) rows, ids in the usual linkage
+    convention: originals 0..n-1, the cluster made at step s gets id n+s.
+    Costs are within-cluster variance increases (singleton pairs start at
+    sqdist/2).
+
+    A cluster lives in the slot of its smallest node; a dead slot's column
+    holds inf.  Each step merges the first slot pair (a, b), a < b, in
+    row-major order whose cost is within TIE_TOL of the least, and updates
+    row and column a by the Lance-Williams formula, elementwise.  Every row
+    caches its least cost over the upper triangle and the column that holds
+    it (Muellner, arXiv:1109.2378, the generic algorithm), so a step
+    rescans only row a, the rows whose least sat in column b, and the rows
+    whose least sat in column a and grew.
     """
-    n = stack.shape[1]
+    count, n, _ = stack.shape
     if not (1 <= k <= n):
         raise InvalidK(f"need 1 <= k <= {n}, got {k}")
-    return ward_batch(stack, n - k)
+    if stack.dtype != np.float64 or not stack.flags.c_contiguous:
+        raise ValueError("ward_cuts needs a C-contiguous float64 stack")
+    w = stack
+    np.divide(w, 2.0, out=w)
+    nodes = np.arange(n)
+    w[:, nodes, nodes] = np.inf
+    rows = w.reshape(count * n, n)
+    upper = nodes[None, :] > nodes[:, None]
+    batch = np.arange(count)
+    base = batch * n
+    row_min = np.where(upper, w, np.inf)
+    row_at = row_min.argmin(axis=2)
+    row_min = np.take_along_axis(row_min, row_at[:, :, None], axis=2)[:, :, 0]
+    # Cluster sizes as floats: exact, and the Lance-Williams products then
+    # need no integer-to-float casts.
+    sizes = np.ones((count, n))
+    parent = np.tile(nodes, (count, 1))
+    ids = parent.copy()
+    for step in range(n - k):
+        bound = row_min.min(axis=1) + TIE_TOL
+        a = np.argmax(row_min <= bound[:, None], axis=1)
+        wa = rows[base + a]
+        b = np.argmax((wa <= bound[:, None]) & upper[a], axis=1)
+        wb = rows[base + b]
+        cost = wa[batch, b]
+        na = sizes[batch, a][:, None]
+        nb = sizes[batch, b][:, None]
+        ns = na + nb
+        # inf wherever wa or wb is: at a, at b and in dead columns
+        upd = ((na + sizes) * wa + (nb + sizes) * wb - sizes * cost[:, None]) / (ns + sizes)
+        # Rows i < a hold column a in their upper triangle: their least
+        # cost moves to a if the new entry is smaller, or must be found
+        # again if it sat at a and grew.
+        take = (nodes < a[:, None]) & ((row_at == a[:, None]) | (upd < row_min))
+        rescan = (row_at == b[:, None]) | take & (upd > row_min)
+        rescan[batch, a] = True
+        np.copyto(row_min, upd, where=take)
+        np.copyto(row_at, a[:, None], where=take)
+        rows[base + a] = upd
+        w[batch, :, a] = upd
+        w[batch, :, b] = np.inf
+        bi, ri = np.nonzero(rescan)
+        fresh = np.where(upper[ri], rows[bi * n + ri], np.inf)
+        col = fresh.argmin(axis=1)
+        row_at[bi, ri] = col
+        row_min[bi, ri] = fresh[np.arange(ri.shape[0]), col]
+        row_min[batch, b] = np.inf
+        row_at[batch, b] = b  # no later column b can name a dead row
+        sizes[batch, a] = ns[:, 0]
+        parent[batch, b] = a
+        if merges is not None:
+            merges[:, step, 0] = ids[batch, a]
+            merges[:, step, 1] = ids[batch, b]
+            merges[:, step, 2] = cost
+            merges[:, step, 3] = ns[:, 0]
+            ids[batch, a] = n + step
+    while True:
+        hop = np.take_along_axis(parent, parent, axis=1)
+        if np.array_equal(hop, parent):
+            break
+        parent = hop
+    rank = np.cumsum(parent == nodes, axis=1) - 1
+    return np.take_along_axis(rank, parent, axis=1)
 
 
 def ward_cluster(sqdist: np.ndarray, k: int) -> Partition:

@@ -76,7 +76,7 @@ class InvalidK(KernelBenchError):
 
 class MalformedDistance(KernelBenchError):
     """Ward's squared-distance input fails its shape, finite, symmetry,
-    diagonal or sign check (only Ward's input check raises it)."""
+    diagonal or sign check, or a distance family's D∘D overflows."""
 
 
 class LengthMismatch(KernelBenchError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _checked_sqdist, adjusted_rand_index, ward_cuts
+from .clustering import adjusted_rand_index, ward_cuts
 from .errors import DegenerateLabels, KernelBenchError, ParameterOutOfRange
 from .families import DistanceMatrix
 from .generators import BlockModelSpec, generate
@@ -114,8 +114,9 @@ def _graph_cells(args):
     """Every (family, parameter) cell of one graph.
 
     Returns the (n_families, len(grid)) ARI table and the error cells as
-    (family_index, grid_index, marker); error cells hold -1.0.  The checked
-    Ward inputs are clustered in stacks of up to STACK_ENTRIES entries.
+    (family_index, grid_index, marker); error cells hold -1.0.  The Ward
+    inputs are clustered in stacks of up to STACK_ENTRIES entries;
+    ``clustering_sqdist`` is their one check.
     """
     source, families, grid, constants = args
     g = _source_graph(source)
@@ -141,7 +142,7 @@ def _graph_cells(args):
         for j, p in enumerate(grid):
             try:
                 measure = evaluator.matrix(name, float(p))
-                stack[len(pending)] = _checked_sqdist(clustering_sqdist(measure))
+                stack[len(pending)] = clustering_sqdist(measure)
                 pending.append((fi, j))
             except KernelBenchError as exc:
                 table[fi, j] = -1.0

@@ -95,10 +95,6 @@ class ProximityMatrix:
     family: str
     parameter: float | None = None
 
-    @property
-    def kind(self) -> str:
-        return PROXIMITY
-
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
@@ -107,10 +103,6 @@ class DistanceMatrix:
     matrix: np.ndarray
     family: str
     parameter: float | None = None
-
-    @property
-    def kind(self) -> str:
-        return DISTANCE
 
 
 def distance_matrix(matrix: np.ndarray, family: str, parameter: float | None = None) -> DistanceMatrix:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import cost_path_matrix, hop_matrix
 from .errors import (
     AsymmetricInput,
     Disconnected,
@@ -122,19 +121,43 @@ def edge_cost_matrix(g: Graph) -> np.ndarray:
     return costs
 
 
+def hop_matrix(adjacency: np.ndarray) -> np.ndarray:
+    """All-pairs hop counts; -1 marks unreachable pairs.
+
+    Level-synchronous BFS from all sources at once via boolean matmul.
+    """
+    n = adjacency.shape[0]
+    a = (adjacency > 0).astype(np.float32)
+    dist = np.full((n, n), -1, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    reached = np.eye(n, dtype=bool)
+    frontier = reached.copy()
+    level = 0
+    while frontier.any():
+        level += 1
+        grown = (frontier.astype(np.float32) @ a) > 0
+        fresh = grown & ~reached
+        dist[fresh] = level
+        reached |= fresh
+        frontier = fresh
+    return dist
+
+
 def shortest_path_matrix(g: Graph) -> DistanceMatrix:
     """All-pairs shortest path distances.
 
-    Hop counts (BFS) for unweighted graphs; weighted graphs use Dijkstra on
-    reciprocal-weight edge costs, treating weights as similarities.
+    Hop counts (BFS) for unweighted graphs; weighted graphs use in-place
+    Floyd-Warshall on reciprocal-weight edge costs, treating weights as
+    similarities.  Each of its steps adds the same two entries for (i, j)
+    and (j, i), so a symmetric input gives an exactly symmetric result.
     """
     if not is_connected(g):
         raise Disconnected("shortest paths need a connected graph")
     if g.is_unweighted:
-        hops = hop_matrix(g.adjacency)
-        dist = hops.astype(np.float64)
+        dist = hop_matrix(g.adjacency).astype(np.float64)
     else:
-        # Dijkstra from each end sums a path in a different order.
-        dist = cost_path_matrix(edge_cost_matrix(g))
-        dist = (dist + dist.T) / 2.0
+        dist = edge_cost_matrix(g)
+        np.fill_diagonal(dist, 0.0)
+        for k in range(g.n):
+            np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
     return distance_matrix(dist, "SP")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import MalformedDistance
 from .families import DistanceMatrix, ProximityMatrix, distance_matrix
 
 
@@ -52,8 +53,15 @@ def clustering_sqdist(measure: ProximityMatrix | DistanceMatrix) -> np.ndarray:
     """Squared distances feeding Ward clustering.
 
     Proximity families: the induced distance, read as a squared Euclidean
-    distance.  Distance families: the elementwise square D∘D.
+    distance.  Distance families: the elementwise square D∘D, which raises
+    :class:`MalformedDistance` if it overflows.  Either way the result is
+    finite, nonnegative and exactly symmetric with a zero diagonal, what
+    Ward takes without a further check.
     """
     if isinstance(measure, DistanceMatrix):
-        return measure.matrix * measure.matrix
+        try:
+            with np.errstate(over="raise"):
+                return measure.matrix * measure.matrix
+        except FloatingPointError:
+            raise MalformedDistance(f"{measure.family} squared distance overflows") from None
     return proximity_to_distance(measure).matrix

@@ -1,16 +1,17 @@
-"""Ward's deterministic tie rule and the batched Ward body in the hot-loop kernels."""
+"""Ward's deterministic tie rule, and the batched Ward body ``clustering.ward_cuts``
+against a full-triangle reference loop."""
 
 import numpy as np
 import pytest
 
-from kernelbench import _accel, cut_dendrogram
-from kernelbench.clustering import Dendrogram, _checked_sqdist, ward_cuts
+from kernelbench import cut_dendrogram, ward_linkage
+from kernelbench.clustering import TIE_TOL, Dendrogram, _checked_sqdist, ward_cuts
 
 
 def reference_ward_merges(sqdist: np.ndarray) -> np.ndarray:
     """The full-triangle Ward loop: every step reads all n(n-1)/2 pairs.
 
-    Same tie rule and Lance-Williams arithmetic as ``_accel.ward_batch``,
+    Same tie rule and Lance-Williams arithmetic as ``ward_cuts``,
     which must reproduce its merge rows bit for bit.
     """
     d = np.ascontiguousarray(sqdist, dtype=np.float64)
@@ -27,7 +28,7 @@ def reference_ward_merges(sqdist: np.ndarray) -> np.ndarray:
     for step in range(n - 1):
         vals = w[iu, ju]
         best = vals.min()
-        pick = int(np.argmax(vals <= best + _accel.TIE_TOL))
+        pick = int(np.argmax(vals <= best + TIE_TOL))
         a = int(iu[pick])
         b = int(ju[pick])
         cost = w[a, b]
@@ -59,12 +60,12 @@ class TestTieBreaking:
         # the smallest slot pair (0, 1) must merge first
         pts = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]])
         sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        merges = _accel.ward_merges(sq.copy())
+        merges = ward_linkage(sq.copy()).merges
         assert (merges[0, 0], merges[0, 1]) == (0.0, 1.0)
 
     def test_identical_points_merge_in_slot_order(self):
         sq = np.zeros((4, 4))
-        merges = _accel.ward_merges(sq.copy())
+        merges = ward_linkage(sq.copy()).merges
         assert [tuple(row[:2]) for row in merges] == [(0.0, 1.0), (4.0, 2.0), (5.0, 3.0)]
 
 
@@ -93,7 +94,7 @@ class TestBatchedWard:
     def test_merge_rows_match_reference(self, kind, n, rng):
         for sq in _inputs(kind, 5, n, rng):
             expected = reference_ward_merges(sq)
-            got = _accel.ward_merges(sq)
+            got = ward_linkage(sq).merges
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("kind", ["grid", "zeros", "random"])
@@ -115,10 +116,10 @@ class TestBatchedWard:
         n = 15
         inputs = _inputs("grid", 6, n, rng) + _inputs("random", 6, n, rng)
         merges = np.empty((len(inputs), n - 1, 4))
-        _accel.ward_batch(np.stack(inputs), n - 1, merges)
+        ward_cuts(np.stack(inputs), 1, merges)
         for sq, rows in zip(inputs, merges):
             assert np.array_equal(rows, reference_ward_merges(sq))
 
     def test_rejects_a_strided_stack(self):
         with pytest.raises(ValueError):
-            _accel.ward_batch(np.zeros((2, 4, 4))[:, ::2, ::2], 1)
+            ward_cuts(np.zeros((2, 4, 4))[:, ::2, ::2], 1)

@@ -184,9 +184,24 @@ class TestShortestPaths:
         for _ in range(5):
             g = random_connected_graph(rng, 6, p=0.5, weighted=True)
             d = shortest_path_matrix(g).matrix
+            assert np.array_equal(d, d.T)
             costs = np.where(g.adjacency > 0, 1.0 / np.where(g.adjacency > 0, g.adjacency, 1), np.inf)
             for i in range(6):
                 for j in range(i + 1, 6):
                     assert d[i, j] == pytest.approx(
                         _brute_force_paths(g.adjacency, costs, i, j, 6), abs=1e-12
                     )
+        # a larger sparse input, against networkx's Dijkstra
+        nx = pytest.importorskip("networkx")
+        g = random_connected_graph(rng, 80, p=0.06, weighted=True)
+        d = shortest_path_matrix(g).matrix
+        assert np.array_equal(d, d.T)
+        iu, ju = np.nonzero(np.triu(g.adjacency))
+        graph = nx.Graph()
+        graph.add_weighted_edges_from(
+            (int(i), int(j), 1.0 / g.adjacency[i, j]) for i, j in zip(iu, ju))
+        expected = np.empty_like(d)
+        for i, lengths in nx.all_pairs_dijkstra_path_length(graph):
+            for j, length in lengths.items():
+                expected[i, j] = length
+        assert np.all(np.abs(d - expected) <= 1e-12 * expected)

@@ -14,6 +14,7 @@ from kernelbench import (
     sweep,
 )
 from kernelbench.acceptance import neumann_series
+from kernelbench.clustering import _checked_sqdist
 from kernelbench.errors import (
     DegenerateKernel,
     Disconnected,
@@ -26,7 +27,7 @@ from kernelbench.errors import (
 )
 from kernelbench.families import DistanceMatrix, ProximityMatrix
 from kernelbench.measures import FamilyEvaluator, _sigmoid_kernel
-from kernelbench.transforms import proximity_to_distance
+from kernelbench.transforms import clustering_sqdist, proximity_to_distance
 
 # With the default constant c = 1, t = p/(1-p): p = 0.5 gives t = 1 exactly,
 # and p = t/(1+t) gives t up to rounding.
@@ -297,7 +298,7 @@ class TestFamilyDispatch:
     def test_every_family_evaluates(self, sbm_graph, connected_graph_factory):
         # exact symmetry and, for distances, an exact zero diagonal: the
         # pipeline passes these matrices to Ward without re-checking them;
-        # the weighted graph takes shortest paths by Dijkstra
+        # the weighted graph takes shortest paths by Floyd-Warshall
         weighted = connected_graph_factory(14, weighted=True)
         for g in (sbm_graph, weighted):
             for name in FAMILY_NAMES:
@@ -309,6 +310,13 @@ class TestFamilyDispatch:
                     if kind == "distance":
                         assert np.all(np.diagonal(m.matrix) == 0.0)
                         assert not m.matrix.flags.writeable
+                    # the cell loop hands this to Ward unchecked: Ward's
+                    # input check must return it bit for bit
+                    sq = clustering_sqdist(m)
+                    assert np.all(np.isfinite(sq)) and sq.min() >= 0.0
+                    assert np.array_equal(sq, sq.T)
+                    assert np.all(np.diagonal(sq) == 0.0)
+                    assert np.array_equal(_checked_sqdist(sq), sq)
 
     def test_pwalk_scaling(self, sbm_graph):
         ev = FamilyEvaluator(sbm_graph)

@@ -7,8 +7,8 @@ import pytest
 
 import kernelbench
 
-MODULES = sorted(p for p in Path(kernelbench.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(kernelbench.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -27,3 +27,22 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    # a module reaches its siblings only through their public names (dunders
+    # such as __version__ are public); tests may still import private ones
+    tree = ast.parse(path.read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("kernelbench")):
+            parts = (node.module or "").split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [part for alias in node.names if alias.name.startswith("kernelbench")
+                     for part in alias.name.split(".")]
+        else:
+            continue
+        private += [f"{part} (line {node.lineno})" for part in parts
+                    if part.startswith("_") and not part.endswith("__")]
+    assert not private, f"{path.name} imports private names of its siblings: {private}"

@@ -8,7 +8,7 @@ from kernelbench import (
     proximity_to_distance,
     reject_distance,
 )
-from kernelbench.errors import NegativeDistance
+from kernelbench.errors import MalformedDistance, NegativeDistance
 from kernelbench.families import DistanceMatrix, ProximityMatrix, distance_matrix
 from kernelbench.measures import FamilyEvaluator
 
@@ -133,6 +133,12 @@ class TestRejectDistanceAndPipeline:
         for name in ("RSP", "FE", "SP-CT"):
             delta = ev.matrix(name, 0.5)
             assert np.array_equal(clustering_sqdist(delta), delta.matrix * delta.matrix)
+
+    def test_squared_distance_overflow_raises(self):
+        # D∘D of a finite distance overflows: Ward must never see the inf
+        d = distance_matrix(np.array([[0.0, 1e200], [1e200, 0.0]]), "SP-CT", 0.5)
+        with pytest.raises(MalformedDistance):
+            clustering_sqdist(d)
 
     def test_pipeline_for_kernels_is_induced_distance(self, sbm_graph):
         ev = FamilyEvaluator(sbm_graph)

@@ -7,7 +7,6 @@ from .clustering import (
     Partition,
     adjusted_rand_index,
     cut_dendrogram,
-    rand_index,
     ward_cluster,
     ward_linkage,
 )
@@ -15,7 +14,6 @@ from .families import (
     FAMILIES,
     FAMILY_NAMES,
     DistanceMatrix,
-    MeasureFamily,
     ProximityMatrix,
     family,
 )

@@ -1,4 +1,4 @@
-"""Ward agglomerative clustering and partition agreement indices.
+"""Ward agglomerative clustering and the adjusted Rand index.
 
 Ward linkage runs on a squared-distance matrix via the Lance-Williams
 recurrence (merge cost = within-cluster variance increase).  Ties within
@@ -232,15 +232,6 @@ def _pair_counts(a, b):
     sum_b = int(comb2(contingency.sum(axis=0)).sum())
     total = n * (n - 1) // 2
     return sum_cells, sum_a, sum_b, total
-
-
-def rand_index(a, b) -> float:
-    """Share of node pairs on which two partitions agree."""
-    sum_cells, sum_a, sum_b, total = _pair_counts(a, b)
-    if total == 0:
-        return 1.0
-    agreements = total + 2 * sum_cells - sum_a - sum_b
-    return agreements / total
 
 
 def adjusted_rand_index(a, b) -> float:

@@ -32,6 +32,9 @@ _GENERAL_TASK_KEYS = {"sizes", "probabilities"}
 # the CLI overrides.
 _LEAST = {"seed": 0, "workers": 0, "grid": 1, "graphs": 1}
 
+# A datasets run evaluates each dataset's one graph, so it takes no 'graphs'.
+_DATASETS_GRAPHS = "'graphs' does not apply to kind 'datasets' (one graph per dataset)"
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -98,6 +101,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     seed = _count("seed", raw.get("seed", 1))
     grid_size = _count("grid", raw.get("grid", 55 if kind == "datasets" else 50))
+    _require(kind != "datasets" or "graphs" not in raw, _DATASETS_GRAPHS)
     graphs = _count("graphs", raw.get("graphs", 1 if kind == "datasets" else 50))
 
     try:
@@ -142,17 +146,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Round-trippable dict for the run manifest."""
-    if cfg.kind == "datasets":
-        tasks = list(cfg.tasks)
-    else:
-        tasks = [spec.to_dict() for spec in cfg.tasks]
-    return {
+    """Round-trippable dict for the run manifest (no 'graphs' for datasets)."""
+    generated = cfg.kind != "datasets"
+    out = {
         "kind": cfg.kind,
         "families": list(cfg.families),
-        "tasks": tasks,
+        "tasks": [spec.to_dict() for spec in cfg.tasks] if generated else list(cfg.tasks),
         "grid": cfg.grid_size,
-        "graphs": cfg.graphs_per_task,
         "statistic": str(cfg.statistic),
         "seed": cfg.seed,
         "workers": cfg.workers,
@@ -160,6 +160,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "constants": dict(cfg.constants),
         "data_root": cfg.data_root,
     }
+    if generated:
+        out["graphs"] = cfg.graphs_per_task
+    return out
 
 
 def apply_overrides(cfg: ExperimentConfig, seed=None, workers=None, out=None,
@@ -169,6 +172,7 @@ def apply_overrides(cfg: ExperimentConfig, seed=None, workers=None, out=None,
     for key, value in (("seed", seed), ("workers", workers), ("grid", grid), ("graphs", graphs)):
         if value is not None:
             _count(key, value)
+    _require(cfg.kind != "datasets" or graphs is None, _DATASETS_GRAPHS)
     if seed is not None and seed != cfg.seed and cfg.kind != "datasets":
         tasks = tuple(
             dataclasses.replace(spec, seed=seed + i) for i, spec in enumerate(cfg.tasks)

@@ -37,10 +37,11 @@ GRID_MARGIN = 0.02
 STACK_ENTRIES = 1 << 19
 
 
-def parameter_grid(size: int, lo: float = GRID_MARGIN, hi: float = 1.0 - GRID_MARGIN) -> np.ndarray:
-    """Evenly spaced normalized parameters, avoiding the open endpoints 0 and 1."""
+def parameter_grid(size: int) -> np.ndarray:
+    """Evenly spaced normalized parameters on [GRID_MARGIN, 1 - GRID_MARGIN]."""
     if size < 1:
         raise ParameterOutOfRange(f"grid size must be >= 1, got {size}")
+    lo, hi = GRID_MARGIN, 1.0 - GRID_MARGIN
     if size == 1:
         return np.array([(lo + hi) / 2.0])
     return np.linspace(lo, hi, size)

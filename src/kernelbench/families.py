@@ -1,8 +1,9 @@
 """The 13 measure families and the matrix types they produce.
 
 A family maps a graph and a normalized parameter p in [0, 1] to either a
-node proximity matrix (kernel) or a node distance matrix.  The family name
-determines the kind and how p is rescaled to the family's native parameter.
+node proximity matrix (kernel) or a node distance matrix; which one is the
+type of the matrix it returns.  The registry holds how each family rescales
+p to its native parameter.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from numbers import Real
 import numpy as np
 
 from .errors import NegativeDistance, NotFound, ParameterOutOfRange
-
-PROXIMITY = "proximity"
-DISTANCE = "distance"
 
 # Distances down to this value are float noise and clamp to 0; below it
 # they raise NegativeDistance.
@@ -30,37 +28,28 @@ SPECTRAL = "spectral"
 RATIO = "ratio"
 IDENTITY = "identity"
 
-
-@dataclass(frozen=True)
-class MeasureFamily:
-    name: str
-    kind: str
-    scaling: str
-
-
-FAMILIES: dict[str, MeasureFamily] = {
-    f.name: f
-    for f in (
-        MeasureFamily("pWalk", PROXIMITY, SPECTRAL),
-        MeasureFamily("Walk", PROXIMITY, SPECTRAL),
-        MeasureFamily("For", PROXIMITY, RATIO),
-        MeasureFamily("logFor", PROXIMITY, RATIO),
-        MeasureFamily("Comm", PROXIMITY, RATIO),
-        MeasureFamily("logComm", PROXIMITY, RATIO),
-        MeasureFamily("Heat", PROXIMITY, RATIO),
-        MeasureFamily("logHeat", PROXIMITY, RATIO),
-        MeasureFamily("SCT", PROXIMITY, RATIO),
-        MeasureFamily("SCCT", PROXIMITY, RATIO),
-        MeasureFamily("RSP", DISTANCE, RATIO),
-        MeasureFamily("FE", DISTANCE, RATIO),
-        MeasureFamily("SP-CT", DISTANCE, IDENTITY),
-    )
+# Each family and its scaling rule, in the paper's order.
+FAMILIES: dict[str, str] = {
+    "pWalk": SPECTRAL,
+    "Walk": SPECTRAL,
+    "For": RATIO,
+    "logFor": RATIO,
+    "Comm": RATIO,
+    "logComm": RATIO,
+    "Heat": RATIO,
+    "logHeat": RATIO,
+    "SCT": RATIO,
+    "SCCT": RATIO,
+    "RSP": RATIO,
+    "FE": RATIO,
+    "SP-CT": IDENTITY,
 }
 
 FAMILY_NAMES = tuple(FAMILIES)
 
 
-def family(name: str) -> MeasureFamily:
+def family(name: str) -> str:
+    """The scaling rule of family ``name``; an unknown name raises NotFound."""
     try:
         return FAMILIES[name]
     except KeyError:
@@ -78,7 +67,7 @@ def check_constants(constants) -> dict[str, float]:
     bad = [f for f in constants if f not in FAMILIES]
     if bad:
         raise ParameterOutOfRange(f"constants for unknown families: {bad}")
-    unscaled = [f for f in constants if FAMILIES[f].scaling != RATIO]
+    unscaled = [f for f in constants if FAMILIES[f] != RATIO]
     if unscaled:
         raise ParameterOutOfRange(f"constants only scale t = c*p/(1-p) families, not {unscaled}")
     for name, c in constants.items():

@@ -1,17 +1,19 @@
 """Kernel and distance constructions for the 13 measure families.
 
 Plain kernels: random-walk resolvent (I - tA)^-1, regularized Laplacian
-(I + tL)^-1, communicability exp(tA), heat exp(-tL).  Logarithmic variants
-take the elementwise ln of a strictly positive kernel.  Commute-time and
-corrected commute-time kernels feed an elementwise sigmoid (SCT, SCCT).
-Randomized-shortest-path and free-energy dissimilarities share one solver
-pipeline, and SP-CT blends shortest-path with resistance distances.
+(I + tL)^-1, communicability exp(tA), heat exp(-tL), each one row of a
+table of f(t lambda) over an eigensystem.  Each logarithmic variant is the
+elementwise ln of one of them, taken in one step (``log_kernel``) that
+checks every entry is positive.  Commute-time and corrected commute-time
+kernels feed an elementwise sigmoid (SCT, SCCT).  Randomized-shortest-path
+and free-energy dissimilarities share one solver pipeline, and SP-CT blends
+shortest-path with resistance distances.
 
 :class:`FamilyEvaluator` caches the per-graph spectral work (eigensystems,
 pseudoinverse, shortest paths) so sweeping a parameter grid only pays for
 the per-parameter recombination.  Its ``matrix(name, p)`` is the one way to
 build a family's matrix: ``raw_parameter`` checks the normalized parameter,
-and the constructor checks the scaling constants, so the kernel helpers
+and the constructor checks the scaling constants, so the constructions
 take a native parameter already in range.
 """
 
@@ -47,45 +49,17 @@ WALK_MARGIN = 1e-4
 # exp(x) overflows float64 just above x = 709.
 EXP_MAX = 700.0
 
-_LOG_NAMES = {"pWalk": "Walk", "For": "logFor", "Comm": "logComm", "Heat": "logHeat"}
+# Plain spectral kernels: the eigensystem each reads and f(x), x = t*lambda,
+# assembled as Q f(t Lambda) Q^T.
+_KERNELS = {
+    "pWalk": ("adjacency_eigen", lambda x: 1.0 / (1.0 - x)),
+    "For": ("laplacian_eigen", lambda x: 1.0 / (1.0 + x)),
+    "Comm": ("adjacency_eigen", np.exp),
+    "Heat": ("laplacian_eigen", lambda x: np.exp(-x)),
+}
 
-
-def _spectral_radius(eigen: SymmetricEigen) -> float:
-    values = eigen.values
-    if values.size == 0:
-        return 0.0
-    return float(max(abs(values[0]), abs(values[-1])))
-
-
-def _pwalk_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
-    return ProximityMatrix(spectral_apply(eigen, 1.0 / (1.0 - t * eigen.values)), "pWalk", t)
-
-
-def _forest_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
-    return ProximityMatrix(spectral_apply(eigen, 1.0 / (1.0 + t * eigen.values)), "For", t)
-
-
-def _comm_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
-    top = t * float(eigen.values[-1]) if eigen.values.size else 0.0
-    if top > EXP_MAX:
-        raise NumericalOverflow(f"exp({top:g}) exceeds float64 range")
-    return ProximityMatrix(spectral_apply(eigen, np.exp(t * eigen.values)), "Comm", t)
-
-
-def _heat_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
-    return ProximityMatrix(spectral_apply(eigen, np.exp(-t * eigen.values)), "Heat", t)
-
-
-def _log_comm_from_eigen(eigen: SymmetricEigen, t: float) -> ProximityMatrix:
-    # ln exp(tA) computed in a shifted domain so large t cannot overflow:
-    # exp(tA) = e^shift * Q exp(t Lambda - shift) Q^T with shift = t lambda_max.
-    shift = t * float(eigen.values[-1]) if eigen.values.size else 0.0
-    scaled = spectral_apply(eigen, np.exp(t * eigen.values - shift))
-    low = scaled.min() if scaled.size else 1.0
-    if low <= 0.0:
-        i, j = np.unravel_index(int(np.argmin(scaled)), scaled.shape)
-        raise NonPositiveEntry(f"logComm entry ({i},{j}) = {low:g} * e^{shift:g} is not positive")
-    return ProximityMatrix(np.log(scaled) + shift, "logComm", t)
+# Each logarithmic family is the elementwise ln of one plain kernel.
+_LOG_OF = {"Walk": "pWalk", "logFor": "For", "logComm": "Comm", "logHeat": "Heat"}
 
 
 def log_kernel(kernel: ProximityMatrix) -> ProximityMatrix:
@@ -95,7 +69,8 @@ def log_kernel(kernel: ProximityMatrix) -> ProximityMatrix:
     if low <= 0.0:
         i, j = np.unravel_index(int(np.argmin(m)), m.shape)
         raise NonPositiveEntry(f"{kernel.family} entry ({i},{j}) = {low:g} is not positive")
-    name = _LOG_NAMES.get(kernel.family, f"log{kernel.family}")
+    name = next((log for log, plain in _LOG_OF.items() if plain == kernel.family),
+                f"log{kernel.family}")
     return ProximityMatrix(np.log(m), name, kernel.parameter)
 
 
@@ -148,7 +123,8 @@ class FamilyEvaluator:
 
     @cached_property
     def spectral_radius(self) -> float:
-        return _spectral_radius(self.adjacency_eigen)
+        values = self.adjacency_eigen.values
+        return float(max(abs(values[0]), abs(values[-1]))) if values.size else 0.0
 
     @cached_property
     def lap_pinv(self) -> np.ndarray:
@@ -199,15 +175,15 @@ class FamilyEvaluator:
 
     def raw_parameter(self, name: str, p: float) -> float:
         """Map a normalized parameter p in [0, 1] to the family's native one."""
-        fam = family(name)
+        scaling = family(name)
         if not (0.0 <= p <= 1.0) or not np.isfinite(p):
             raise ParameterOutOfRange(f"normalized parameter must be in [0, 1], got {p!r}")
-        if fam.scaling == SPECTRAL:
+        if scaling == SPECTRAL:
             if p == 0.0:
                 raise ParameterOutOfRange(f"{name}: p = 0 leaves the open interval (0, 1/rho)")
             rho = self.spectral_radius
             return p * (1.0 - WALK_MARGIN) / rho if rho > 0.0 else p
-        if fam.scaling == RATIO:
+        if scaling == RATIO:
             if p == 0.0 or p == 1.0:
                 raise ParameterOutOfRange(f"{name}: p on the open interval (0, 1) only")
             return self.constants.get(name, 1.0) * p / (1.0 - p)
@@ -215,24 +191,26 @@ class FamilyEvaluator:
 
     def matrix(self, name: str, p: float) -> ProximityMatrix | DistanceMatrix:
         """Evaluate family ``name`` at normalized parameter ``p``."""
-        fam = family(name)
         t = self.raw_parameter(name, p)
-        if name == "pWalk":
-            return _pwalk_from_eigen(self.adjacency_eigen, t)
-        if name == "Walk":
-            return log_kernel(_pwalk_from_eigen(self.adjacency_eigen, t))
-        if name == "For":
-            return _forest_from_eigen(self.laplacian_eigen, t)
-        if name == "logFor":
-            return log_kernel(_forest_from_eigen(self.laplacian_eigen, t))
-        if name == "Comm":
-            return _comm_from_eigen(self.adjacency_eigen, t)
-        if name == "logComm":
-            return _log_comm_from_eigen(self.adjacency_eigen, t)
-        if name == "Heat":
-            return _heat_from_eigen(self.laplacian_eigen, t)
-        if name == "logHeat":
-            return log_kernel(_heat_from_eigen(self.laplacian_eigen, t))
+        plain = _LOG_OF.get(name, name)
+        if plain in _KERNELS:
+            source, f = _KERNELS[plain]
+            eigen = getattr(self, source)
+            x = t * eigen.values
+            top = float(x[-1]) if x.size else 0.0
+            if name == "Comm" and top > EXP_MAX:
+                raise NumericalOverflow(f"exp({top:g}) exceeds float64 range")
+            if name == "logComm":
+                # ln exp(tA) in a shifted domain so large t cannot overflow:
+                # exp(tA) = e^top * Q exp(t Lambda - top) Q^T, top = t lambda_max
+                x = x - top
+            kernel = ProximityMatrix(spectral_apply(eigen, f(x)), plain, t)
+            if name == plain:
+                return kernel
+            logged = log_kernel(kernel)
+            if name == "logComm":
+                return ProximityMatrix(logged.matrix + top, name, t)
+            return logged
         if name == "SCT":
             return _sigmoid_kernel(self.lap_pinv, self.ct_sigma, t, "SCT")
         if name == "SCCT":
@@ -242,7 +220,7 @@ class FamilyEvaluator:
         if name == "SP-CT":
             blend = (1.0 - p) * self.sp_matrix + p * self.resistance_matrix
             return distance_matrix(blend, "SP-CT", p)
-        raise AssertionError(f"unhandled family {fam.name}")  # pragma: no cover
+        raise AssertionError(f"unhandled family {name}")  # pragma: no cover
 
     def _rsp_fe(self, beta: float, variant: str) -> DistanceMatrix:
         d = self.degrees

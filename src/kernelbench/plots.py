@@ -27,19 +27,18 @@ def _fmt(v: float) -> str:
 
 def write_curves_svg(path: str | Path, curves, title: str = "",
                      xlabel: str = "", ylabel: str = "",
-                     x_range=(0.0, 1.0), y_range=(0.0, 1.0)) -> Path:
+                     y_range=(0.0, 1.0)) -> Path:
     """Write labeled polyline curves to ``path``.
 
-    ``curves`` is a sequence of (label, x_array, y_array).
+    ``curves`` is a sequence of (label, x_array, y_array) with x in [0, 1].
     """
     path = Path(path)
-    x0, x1 = float(x_range[0]), float(x_range[1])
     y0, y1 = float(y_range[0]), float(y_range[1])
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def sx(v):
-        return MARGIN_L + (v - x0) / (x1 - x0) * plot_w
+        return MARGIN_L + v * plot_w
 
     def sy(v):
         return MARGIN_T + plot_h - (v - y0) / (y1 - y0) * plot_h
@@ -60,7 +59,7 @@ def write_curves_svg(path: str | Path, curves, title: str = "",
         'fill="none" stroke="black" stroke-width="1"/>'
     )
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        xv = x0 + frac * (x1 - x0)
+        xv = frac
         yv = y0 + frac * (y1 - y0)
         px, py = sx(xv), sy(yv)
         lines.append(

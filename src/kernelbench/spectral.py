@@ -75,17 +75,17 @@ def solve_linear(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def pinv_from_eigen(eigen: SymmetricEigen, rtol: float = PINV_RTOL) -> np.ndarray:
+def pinv_from_eigen(eigen: SymmetricEigen) -> np.ndarray:
     """Laplacian pseudoinverse from the Laplacian's eigensystem.
 
-    Eigenvalues below n * lambda_max * rtol count as the zero mode; a
+    Eigenvalues below n * lambda_max * PINV_RTOL count as the zero mode; a
     connected Laplacian has exactly one.  Finding any other count raises
     :class:`Disconnected`.
     """
     values = eigen.values
     n = values.shape[0]
     lam_max = float(values[-1]) if n else 0.0
-    cutoff = n * lam_max * rtol
+    cutoff = n * lam_max * PINV_RTOL
     near_zero = values <= cutoff
     if int(near_zero.sum()) != 1:
         raise Disconnected(

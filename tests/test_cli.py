@@ -90,6 +90,18 @@ class TestConfig:
             config_from_dict({"kind": "datasets", "families": ["Heat", "For"],
                               "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5, "p_out": 0.1}]})
 
+    def test_dataset_kind_rejects_graphs(self):
+        # a datasets run evaluates each dataset's one graph
+        with pytest.raises(ConfigInvalid, match="'graphs' does not apply"):
+            config_from_dict({"kind": "datasets", "families": ["Heat"], "graphs": 1,
+                              "tasks": ["zachary"]})
+
+    def test_dataset_kind_rejects_graphs_override(self):
+        cfg = config_from_dict({"kind": "datasets", "families": ["Heat"], "tasks": ["zachary"]})
+        with pytest.raises(ConfigInvalid, match="'graphs' does not apply"):
+            apply_overrides(cfg, graphs=3)
+        assert apply_overrides(cfg, workers=2).workers == 2
+
     def test_grid_default_by_kind(self):
         base = {"families": ["Heat", "For"], "tasks": ["zachary"]}
         assert config_from_dict({"kind": "datasets", **base}).grid_size == 55
@@ -205,6 +217,8 @@ class TestRunner:
         })
         out = run(cfg)
         assert (out / "tournament.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert config_from_dict(manifest["config"]) == cfg
         rows = (out / "sweep.csv").read_text().splitlines()
         # header + 3 families x 6 grid points x 1 graph
         assert len(rows) == 1 + 18

@@ -4,7 +4,6 @@ import pytest
 from kernelbench import (
     adjusted_rand_index,
     cut_dendrogram,
-    rand_index,
     ward_cluster,
     ward_linkage,
 )
@@ -116,7 +115,6 @@ class TestRandIndices:
     def test_identical_partitions(self):
         labels = np.array([0, 1, 1, 2, 0])
         assert adjusted_rand_index(labels, labels) == 1.0
-        assert rand_index(labels, labels) == 1.0
 
     def test_frozen_crossed_pairs_value(self):
         # pair-counting by hand: ARI([0,0,1,1], [0,1,0,1]) = -1/2
@@ -153,7 +151,6 @@ class TestRandIndices:
             n = int(rng.integers(2, 40))
             a = rng.integers(0, 3, size=n)
             b = rng.integers(0, 4, size=n)
-            assert 0.0 <= rand_index(a, b) <= 1.0
             assert adjusted_rand_index(a, b) <= 1.0
 
     def test_length_mismatch(self):

@@ -151,6 +151,36 @@ class TestLogKernel:
         stable = ev.matrix("logComm", 0.5).matrix
         assert np.abs(direct - stable).max() <= 1e-9
 
+    def test_one_log_step_on_ring_of_cliques(self):
+        # Walk, logFor and logHeat fail exactly where their plain kernel has
+        # an entry <= 0 and are otherwise np.log of it bit for bit; logComm
+        # fails only by NonPositiveEntry.  An accurate path for tiny entries
+        # would lower these counts on purpose.
+        import networkx as nx
+
+        ring = nx.ring_of_cliques(12, 10)
+        ev = FamilyEvaluator(build_graph(nx.to_numpy_array(ring, nodelist=sorted(ring.nodes))))
+        grid = [float(p) for p in parameter_grid(55)]
+        failed = {}
+        for log, plain in (("Walk", "pWalk"), ("logFor", "For"), ("logHeat", "Heat")):
+            failed[log] = 0
+            for p in grid:
+                k = ev.matrix(plain, p).matrix
+                if k.min() <= 0.0:
+                    with pytest.raises(NonPositiveEntry):
+                        ev.matrix(log, p)
+                    failed[log] += 1
+                else:
+                    assert np.array_equal(ev.matrix(log, p).matrix, np.log(k))
+        assert failed == {"Walk": 24, "logFor": 4, "logHeat": 15}
+        markers = []
+        for p in grid:
+            try:
+                ev.matrix("logComm", p)
+            except KernelBenchError as exc:
+                markers.append(type(exc).__name__)
+        assert markers == ["NonPositiveEntry"] * 14
+
     def test_log_comm_survives_huge_parameter(self, sbm_graph):
         # plain Comm overflows here; the shifted log-domain path must not
         ev = FamilyEvaluator(sbm_graph)
@@ -285,11 +315,17 @@ class TestRspFe:
             family_matrix(build_graph(np.zeros((2, 2))), "RSP", 0.5)
 
 
+# The families that return a DistanceMatrix; the other ten return kernels.
+DISTANCES = {"RSP", "FE", "SP-CT"}
+
+
 class TestFamilyDispatch:
     def test_registry_kinds(self, k2):
-        distances = {"RSP", "FE", "SP-CT"}
+        # a family's kind is the type of matrix it returns
         for name in FAMILY_NAMES:
-            assert family(name).kind == ("distance" if name in distances else "proximity")
+            m = family_matrix(k2, name, 0.5)
+            assert isinstance(m, DistanceMatrix if name in DISTANCES else ProximityMatrix)
+            assert m.family == name
         with pytest.raises(NotFound):
             family("nosuch")
         with pytest.raises(NotFound):
@@ -304,10 +340,9 @@ class TestFamilyDispatch:
             for name in FAMILY_NAMES:
                 for p in (0.3, 0.5):
                     m = family_matrix(g, name, p)
-                    kind = family(name).kind
-                    assert isinstance(m, DistanceMatrix if kind == "distance" else ProximityMatrix)
+                    assert isinstance(m, DistanceMatrix if name in DISTANCES else ProximityMatrix)
                     assert np.array_equal(m.matrix, m.matrix.T)
-                    if kind == "distance":
+                    if name in DISTANCES:
                         assert np.all(np.diagonal(m.matrix) == 0.0)
                         assert not m.matrix.flags.writeable
                     # the cell loop hands this to Ward unchecked: Ward's

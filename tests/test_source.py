@@ -46,3 +46,25 @@ def test_no_private_imports(path):
         private += [f"{part} (line {node.lineno})" for part in parts
                     if part.startswith("_") and not part.endswith("__")]
     assert not private, f"{path.name} imports private names of its siblings: {private}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    # a module-level _name (function, class or assignment) must be read in its
+    # own module; siblings may not import it, so otherwise nothing reads it
+    tree = ast.parse(path.read_text())
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = sorted(f"{name} (line {line})" for name, line in defined.items()
+                    if name.startswith("_") and not name.endswith("__") and name not in read)
+    assert not unused, f"{path.name} defines private names it never reads: {unused}"

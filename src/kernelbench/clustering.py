@@ -128,10 +128,16 @@ def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np
     holds inf.  Each step merges the first slot pair (a, b), a < b, in
     row-major order whose cost is within TIE_TOL of the least, and updates
     row and column a by the Lance-Williams formula, elementwise.  Every row
-    caches its least cost over the upper triangle and the column that holds
-    it (Muellner, arXiv:1109.2378, the generic algorithm), so a step
-    rescans only row a, the rows whose least sat in column b, and the rows
-    whose least sat in column a and grew.
+    caches its least cost over the whole row and the column that holds it
+    (Muellner, arXiv:1109.2378, the generic algorithm), so a step rescans
+    only row a, the rows whose least sat in column b, and the rows whose
+    least sat in column a and grew.  The first row whose least is within
+    the bound is a: a pair (i, j) within it, i < j, puts both rows i and j
+    at or after a.  For the same reason no entry of row a left of the
+    diagonal is within the bound, so b is the first column of row a that
+    is.  When the live slots fall to half the width, the stack is
+    compacted to them, in order, so the tie rule still reads row-major
+    order; ``node`` maps each slot back to its cluster's smallest node.
     """
     count, n, _ = stack.shape
     if not (1 <= k <= n):
@@ -142,23 +148,23 @@ def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np
     np.divide(w, 2.0, out=w)
     nodes = np.arange(n)
     w[:, nodes, nodes] = np.inf
-    rows = w.reshape(count * n, n)
-    upper = nodes[None, :] > nodes[:, None]
     batch = np.arange(count)
-    base = batch * n
-    row_min = np.where(upper, w, np.inf)
-    row_at = row_min.argmin(axis=2)
-    row_min = np.take_along_axis(row_min, row_at[:, :, None], axis=2)[:, :, 0]
+    row_at = w.argmin(axis=2)
+    row_min = np.take_along_axis(w, row_at[:, :, None], axis=2)[:, :, 0]
     # Cluster sizes as floats: exact, and the Lance-Williams products then
     # need no integer-to-float casts.
     sizes = np.ones((count, n))
-    parent = np.tile(nodes, (count, 1))
-    ids = parent.copy()
+    node = np.tile(nodes, (count, 1))
+    ids = node.copy()
+    parent = node.copy()  # by node, not by slot
+    width = n
+    rows = w.reshape(count * width, width)
+    base = batch * width
     for step in range(n - k):
         bound = row_min.min(axis=1) + TIE_TOL
         a = np.argmax(row_min <= bound[:, None], axis=1)
         wa = rows[base + a]
-        b = np.argmax((wa <= bound[:, None]) & upper[a], axis=1)
+        b = np.argmax(wa <= bound[:, None], axis=1)
         wb = rows[base + b]
         cost = wa[batch, b]
         na = sizes[batch, a][:, None]
@@ -166,32 +172,45 @@ def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np
         ns = na + nb
         # inf wherever wa or wb is: at a, at b and in dead columns
         upd = ((na + sizes) * wa + (nb + sizes) * wb - sizes * cost[:, None]) / (ns + sizes)
-        # Rows i < a hold column a in their upper triangle: their least
-        # cost moves to a if the new entry is smaller, or must be found
-        # again if it sat at a and grew.
-        take = (nodes < a[:, None]) & ((row_at == a[:, None]) | (upd < row_min))
-        rescan = (row_at == b[:, None]) | take & (upd > row_min)
+        # A row's least cost moves to a if the new entry is smaller, or
+        # must be found again if it sat at a and grew, or sat at b.
+        at_a = row_at == a[:, None]
+        rescan = (row_at == b[:, None]) | at_a & (upd > row_min)
+        take = at_a | (upd < row_min)
         rescan[batch, a] = True
+        rescan[batch, b] = False  # row b dies below
         np.copyto(row_min, upd, where=take)
         np.copyto(row_at, a[:, None], where=take)
         rows[base + a] = upd
         w[batch, :, a] = upd
         w[batch, :, b] = np.inf
-        bi, ri = np.nonzero(rescan)
-        fresh = np.where(upper[ri], rows[bi * n + ri], np.inf)
+        stale = np.flatnonzero(rescan)
+        fresh = rows[stale]
         col = fresh.argmin(axis=1)
-        row_at[bi, ri] = col
-        row_min[bi, ri] = fresh[np.arange(ri.shape[0]), col]
+        row_at.reshape(-1)[stale] = col
+        row_min.reshape(-1)[stale] = fresh[np.arange(stale.shape[0]), col]
         row_min[batch, b] = np.inf
         row_at[batch, b] = b  # no later column b can name a dead row
         sizes[batch, a] = ns[:, 0]
-        parent[batch, b] = a
+        parent[batch, node[batch, b]] = node[batch, a]
         if merges is not None:
             merges[:, step, 0] = ids[batch, a]
             merges[:, step, 1] = ids[batch, b]
             merges[:, step, 2] = cost
             merges[:, step, 3] = ns[:, 0]
             ids[batch, a] = n + step
+        live = n - 1 - step
+        if 2 * live <= width and step + 1 < n - k:
+            alive = np.take_along_axis(parent, node, axis=1) == node
+            keep = np.nonzero(alive)[1].reshape(count, live)
+            slot = np.cumsum(alive, axis=1) - 1
+            w = w[batch[:, None, None], keep[:, :, None], keep[:, None, :]]
+            row_min, sizes, node, ids = (np.take_along_axis(x, keep, axis=1)
+                                         for x in (row_min, sizes, node, ids))
+            row_at = np.take_along_axis(slot, np.take_along_axis(row_at, keep, axis=1), axis=1)
+            width = live
+            rows = w.reshape(count * width, width)
+            base = batch * width
     while True:
         hop = np.take_along_axis(parent, parent, axis=1)
         if np.array_equal(hop, parent):
@@ -211,32 +230,13 @@ def _labels_of(partition) -> np.ndarray:
     return np.asarray(labels).astype(np.int64, copy=False).ravel()
 
 
-def _pair_counts(a, b):
-    x = _labels_of(a)
-    y = _labels_of(b)
-    if x.shape[0] != y.shape[0]:
-        raise LengthMismatch(f"partitions cover {x.shape[0]} vs {y.shape[0]} nodes")
-    n = x.shape[0]
-    _, xi = np.unique(x, return_inverse=True)
-    _, yi = np.unique(y, return_inverse=True)
-    ka = int(xi.max()) + 1 if n else 0
-    kb = int(yi.max()) + 1 if n else 0
-    contingency = np.bincount(xi * kb + yi, minlength=ka * kb).reshape(ka, kb)
-
-    def comb2(v):
-        v = v.astype(np.int64)
-        return v * (v - 1) // 2
-
-    sum_cells = int(comb2(contingency).sum())
-    sum_a = int(comb2(contingency.sum(axis=1)).sum())
-    sum_b = int(comb2(contingency.sum(axis=0)).sum())
-    total = n * (n - 1) // 2
-    return sum_cells, sum_a, sum_b, total
+def _comb2(v: np.ndarray) -> np.ndarray:
+    v = v.astype(np.int64)
+    return v * (v - 1) // 2
 
 
-def adjusted_rand_index(a, b) -> float:
-    """Chance-corrected Rand index (1 iff the partitions are identical)."""
-    sum_cells, sum_a, sum_b, total = _pair_counts(a, b)
+def _ari(sum_cells: int, sum_a: int, sum_b: int, total: int) -> float:
+    # Python ints, so sum_a * sum_b / total is rounded once, at any n
     if total == 0:
         return 1.0
     expected = sum_a * sum_b / total
@@ -245,3 +245,29 @@ def adjusted_rand_index(a, b) -> float:
         # both trivial partitions (all singletons or one cluster): identical
         return 1.0
     return (sum_cells - expected) / (maximum - expected)
+
+
+def adjusted_rand_index(a, b) -> float:
+    """Chance-corrected Rand index (1 iff the partitions are identical)."""
+    return float(adjusted_rand_indices(_labels_of(a)[None], b)[0])
+
+
+def adjusted_rand_indices(cuts, truth) -> np.ndarray:
+    """``adjusted_rand_index(row, truth)`` for each row of a (B, n) stack of
+    labels, bit for bit, with the B contingency tables from one bincount."""
+    x = np.asarray(cuts).astype(np.int64, copy=False)
+    y = _labels_of(truth)
+    count, n = x.shape
+    if n != y.shape[0]:
+        raise LengthMismatch(f"partitions cover {n} vs {y.shape[0]} nodes")
+    _, xi = np.unique(x, return_inverse=True)
+    _, yi = np.unique(y, return_inverse=True)
+    ka = int(xi.max()) + 1 if xi.size else 0
+    kb = int(yi.max()) + 1 if n else 0
+    cells = (np.arange(count)[:, None] * ka + xi.reshape(count, n)) * kb + yi
+    contingency = np.bincount(cells.ravel(), minlength=count * ka * kb).reshape(count, ka, kb)
+    sum_cells = _comb2(contingency).sum(axis=(1, 2)).tolist()
+    sum_a = _comb2(contingency.sum(axis=2)).sum(axis=1).tolist()
+    sum_b = int(_comb2(np.bincount(yi, minlength=kb)).sum())
+    total = n * (n - 1) // 2
+    return np.array([_ari(c, s, sum_b, total) for c, s in zip(sum_cells, sum_a)])

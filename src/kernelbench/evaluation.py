@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import adjusted_rand_index, ward_cuts
+from .clustering import adjusted_rand_indices, ward_cuts
 from .errors import DegenerateLabels, KernelBenchError, ParameterOutOfRange
 from .families import DistanceMatrix
 from .generators import BlockModelSpec, generate
@@ -115,9 +115,10 @@ def _graph_cells(args):
     """Every (family, parameter) cell of one graph.
 
     Returns the (n_families, len(grid)) ARI table and the error cells as
-    (family_index, grid_index, marker); error cells hold -1.0.  The Ward
-    inputs are clustered in stacks of up to STACK_ENTRIES entries;
-    ``clustering_sqdist`` is their one check.
+    (family_index, grid_index, marker); error cells hold -1.0.  Cells run
+    parameter-major, so RSP and FE at one parameter share one fundamental
+    matrix.  The Ward inputs are clustered in stacks of up to STACK_ENTRIES
+    entries; ``clustering_sqdist`` is their one check.
     """
     source, families, grid, constants = args
     g = _source_graph(source)
@@ -131,16 +132,16 @@ def _graph_cells(args):
     def cluster_pending():
         try:
             labels = ward_cuts(stack[:len(pending)], k)
-            for (fi, j), cut in zip(pending, labels):
-                table[fi, j] = adjusted_rand_index(cut, g.labels)
+            for (fi, j), score in zip(pending, adjusted_rand_indices(labels, g.labels)):
+                table[fi, j] = score
         except KernelBenchError as exc:
             for fi, j in pending:
                 table[fi, j] = -1.0
                 errors.append((fi, j, type(exc).__name__))
         pending.clear()
 
-    for fi, name in enumerate(families):
-        for j, p in enumerate(grid):
+    for j, p in enumerate(grid):
+        for fi, name in enumerate(families):
             try:
                 measure = evaluator.matrix(name, float(p))
                 stack[len(pending)] = clustering_sqdist(measure)

@@ -106,6 +106,7 @@ class FamilyEvaluator:
             raise Disconnected("measure families need a connected graph")
         self.graph = g
         self.constants = check_constants(constants or {})
+        self._fundamental_at = None
 
     # -- cached per-graph state ------------------------------------------
 
@@ -222,15 +223,19 @@ class FamilyEvaluator:
             return distance_matrix(blend, "SP-CT", p)
         raise AssertionError(f"unhandled family {name}")  # pragma: no cover
 
-    def _rsp_fe(self, beta: float, variant: str) -> DistanceMatrix:
-        d = self.degrees
-        if np.any(d <= 0.0):
-            raise ZeroDegree(f"{variant} needs all degrees positive")
+    def _fundamental(self, beta: float, variant: str) -> tuple[np.ndarray, np.ndarray]:
+        """The reference walk's weights W at ``beta`` and Z = (I - W)^-1.
+
+        A pair that passed the solve's residual check and the positivity
+        check is kept until the next call, which takes it if its beta is the
+        same: RSP and FE at one beta solve once, and no Z outlives its use.
+        """
+        kept, self._fundamental_at = self._fundamental_at, None
+        if kept is not None and kept[0] == beta:
+            return kept[1:]
         a = self.graph.adjacency
         n = a.shape[0]
-        p_ref = a / d[:, None]
-        costs = self.edge_costs
-        w = p_ref * np.exp(-beta * costs)
+        w = a / self.degrees[:, None] * np.exp(-beta * self.edge_costs)
         w[a == 0.0] = 0.0
         z = solve_linear(np.eye(n) - w, np.eye(n))
         low = z.min() if z.size else 1.0
@@ -239,6 +244,15 @@ class FamilyEvaluator:
                 f"{variant}: fundamental matrix entry {low:g} is not positive "
                 "(beta too small or too large for this graph)"
             )
+        w.flags.writeable = z.flags.writeable = False
+        self._fundamental_at = (beta, w, z)
+        return w, z
+
+    def _rsp_fe(self, beta: float, variant: str) -> DistanceMatrix:
+        if np.any(self.degrees <= 0.0):
+            raise ZeroDegree(f"{variant} needs all degrees positive")
+        w, z = self._fundamental(beta, variant)
+        costs = self.edge_costs
         if variant == "RSP":
             s = (z @ (costs * w) @ z) / z
             cbar = s - np.diagonal(s)[None, :]

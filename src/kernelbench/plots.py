@@ -92,8 +92,9 @@ def write_curves_svg(path: str | Path, curves, title: str = "",
 
     for idx, (label, xs, ys) in enumerate(curves):
         color = PALETTE[idx % len(PALETTE)]
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
+        # Python floats: formatting them is faster than numpy scalars
+        xs = np.asarray(xs, dtype=np.float64).tolist()
+        ys = np.asarray(ys, dtype=np.float64).tolist()
         data = ";".join(f"{x:.6g},{y:.6g}" for x, y in zip(xs, ys))
         lines.append(f"<!-- data {label}: {data} -->")
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))

@@ -1,11 +1,15 @@
 """Ward's deterministic tie rule, and the batched Ward body ``clustering.ward_cuts``
 against a full-triangle reference loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from kernelbench import cut_dendrogram, ward_linkage
+from kernelbench import build_graph, cut_dendrogram, shortest_path_matrix, ward_linkage
 from kernelbench.clustering import TIE_TOL, Dendrogram, _checked_sqdist, ward_cuts
+from kernelbench.measures import FamilyEvaluator
+from kernelbench.transforms import clustering_sqdist
 
 
 def reference_ward_merges(sqdist: np.ndarray) -> np.ndarray:
@@ -123,3 +127,63 @@ class TestBatchedWard:
     def test_rejects_a_strided_stack(self):
         with pytest.raises(ValueError):
             ward_cuts(np.zeros((2, 4, 4))[:, ::2, ::2], 1)
+
+
+def _ring_of_cliques(cliques, size):
+    """``cliques`` cliques of ``size`` nodes; the last node of each is joined
+    to the first node of the next."""
+    n = cliques * size
+    a = np.zeros((n, n))
+    for c in range(cliques):
+        block = slice(c * size, (c + 1) * size)
+        a[block, block] = 1.0
+        last, first = (c + 1) * size - 1, (c + 1) * size % n
+        a[last, first] = a[first, last] = 1.0
+    np.fill_diagonal(a, 0.0)
+    return build_graph(a)
+
+
+def _tie_heavy_inputs(rng):
+    """Identical points, and induced distances on a ring of 8 cliques of 6:
+    squared hop counts (as is and with the nodes shuffled) and For at p = 0.5."""
+    g = _ring_of_cliques(8, 6)
+    hops = shortest_path_matrix(g).matrix ** 2
+    shuffle = rng.permutation(g.n)
+    return [np.zeros((g.n, g.n)), _checked_sqdist(hops),
+            _checked_sqdist(hops[np.ix_(shuffle, shuffle)]),
+            clustering_sqdist(FamilyEvaluator(g).matrix("For", 0.5))]
+
+
+def _live_slots(merges, n, steps):
+    """Each cluster's smallest node after ``steps`` merges: the live slots."""
+    labels = cut_dendrogram(Dendrogram(merges, n), n - steps).labels
+    return tuple(np.unique(labels, return_index=True)[1])
+
+
+class TestCompaction:
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_tie_heavy_merge_rows(self, k, rng):
+        # 48 slots: the stack is compacted at 24 and 12 live slots, and at 6
+        # and 3 too when k = 1
+        inputs = _tie_heavy_inputs(rng)
+        n = inputs[0].shape[0]
+        expected = [reference_ward_merges(sq) for sq in inputs]
+        # the matrices lose different slots before the first compaction
+        assert len({_live_slots(rows, n, n // 2) for rows in expected}) == len(inputs)
+        merges = np.empty((len(inputs), n - k, 4))
+        labels = ward_cuts(np.stack(inputs), k, merges)
+        for rows, ref, cut in zip(merges, expected, labels):
+            assert np.array_equal(rows, ref[:n - k])
+            assert np.array_equal(cut, cut_dendrogram(Dendrogram(ref, n), k).labels)
+
+    def test_peak_memory_stays_below_the_stack(self, rng):
+        # Temporaries stay well under the stack itself: no full-stack copy,
+        # and a compaction copies at most a quarter of it.
+        stack = np.stack(_inputs("random", 6, 160, rng))
+        tracemalloc.start()
+        try:
+            ward_cuts(stack, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * stack.nbytes

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from kernelbench import (
     ward_linkage,
 )
 from kernelbench.acceptance import ari_pair_oracle, ward_merge_oracle
+from kernelbench.clustering import adjusted_rand_indices
 from kernelbench.errors import InvalidK, LengthMismatch, MalformedDistance
 
 
@@ -160,3 +163,51 @@ class TestRandIndices:
     def test_accepts_partition_objects(self):
         part = ward_cluster(_two_blocks(2, 2), 2)
         assert adjusted_rand_index(part, [0, 0, 1, 1]) == 1.0
+
+
+def _counted_ari(a, b):
+    """Pair-counting ARI in Python ints, with adjusted_rand_index's rounding."""
+    def pairs(counter):
+        return sum(c * (c - 1) // 2 for c in counter.values())
+
+    a, b = [int(v) for v in a], [int(v) for v in b]
+    cells, sum_a, sum_b = pairs(Counter(zip(a, b))), pairs(Counter(a)), pairs(Counter(b))
+    total = len(a) * (len(a) - 1) // 2
+    if total == 0:
+        return 1.0
+    expected = sum_a * sum_b / total
+    maximum = 0.5 * (sum_a + sum_b)
+    if maximum == expected:
+        return 1.0
+    return (cells - expected) / (maximum - expected)
+
+
+class TestStackedRandIndices:
+    @staticmethod
+    def _check(cuts, truth):
+        # bit for bit, row by row, against the one-row call and the counts
+        got = adjusted_rand_indices(np.asarray(cuts), truth).tobytes()
+        assert got == np.array([adjusted_rand_index(row, truth) for row in cuts]).tobytes()
+        assert got == np.array([_counted_ari(row, truth) for row in cuts]).tobytes()
+
+    def test_random_stacks(self, rng):
+        for n in (3, 17, 60):
+            truth = rng.integers(0, 4, size=n) * 3 + 5  # sparse label values
+            cuts = [rng.integers(0, k, size=n) for k in (1, 2, 3, 5, n)]
+            self._check(cuts, truth)
+
+    def test_trivial_partitions(self):
+        # maximum == expected: singletons against singletons, one cluster
+        # against one class; k = n against one class scores 0
+        n = 9
+        singletons, one = np.arange(n), np.zeros(n, dtype=int)
+        self._check([singletons, one, one + 4], singletons)
+        self._check([singletons, one, np.arange(n) % 2], one)
+
+    def test_two_nodes(self):
+        for truth in ([0, 1], [0, 0], [3, 3]):
+            self._check([[0, 0], [0, 1], [1, 0]], np.array(truth))
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            adjusted_rand_indices(np.zeros((2, 3), dtype=int), [0, 1])

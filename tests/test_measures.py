@@ -5,9 +5,11 @@ import pytest
 
 from kernelbench import (
     FAMILY_NAMES,
+    block_model_spec,
     build_graph,
     family,
     family_matrix,
+    generate,
     log_kernel,
     parameter_grid,
     shortest_path_matrix,
@@ -313,6 +315,39 @@ class TestRspFe:
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             family_matrix(build_graph(np.zeros((2, 2))), "RSP", 0.5)
+
+    def test_shared_fundamental_matrix_changes_no_value(self):
+        # One evaluator solves once per beta for RSP and FE, in either order,
+        # and a lone RSP or FE leaves a Z that the next beta must not take;
+        # every value equals a fresh evaluator's, and both families still
+        # fail at beta = 49 (p = 0.98) on this weighted 12x10 block model.
+        g = _weighted_block_model(109)
+        shared = FamilyEvaluator(g)
+        failed = {"RSP": [], "FE": []}
+        orders = [("RSP",), ("FE",), ("RSP", "FE"), ("FE", "RSP")]
+        for j, p in enumerate(parameter_grid(55)):
+            for name in orders[j % 4]:
+                try:
+                    expected = FamilyEvaluator(g).matrix(name, float(p)).matrix
+                except NonPositiveEntry:
+                    with pytest.raises(NonPositiveEntry):
+                        shared.matrix(name, float(p))
+                    failed[name].append(j)
+                else:
+                    assert np.array_equal(shared.matrix(name, float(p)).matrix, expected)
+        assert failed == {"RSP": [54], "FE": [54]}
+
+
+def _weighted_block_model(seed):
+    """Twelve blocks of ten (p_in 0.8, p_out 0.004), graph 0, with edge
+    weights drawn uniformly from [0.5, 1)."""
+    p = np.full((12, 12), 0.004)
+    np.fill_diagonal(p, 0.8)
+    g = generate(block_model_spec((10,) * 12, p, seed, name="sbm12x10"), 0)
+    a = g.adjacency.copy()
+    iu, ju = np.nonzero(np.triu(a, 1))
+    a[iu, ju] = a[ju, iu] = np.random.default_rng(seed).uniform(0.5, 1.0, iu.shape[0])
+    return build_graph(a, g.labels)
 
 
 # The families that return a DistanceMatrix; the other ten return kernels.

@@ -76,37 +76,33 @@ def ward_linkage(sqdist: np.ndarray) -> Dendrogram:
 
 
 def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
-    """Partition with k clusters: replay the first n-k merges."""
+    """Partition with k clusters: replay the first n-k merges.
+
+    Each merge links the larger of its two clusters' smallest nodes under
+    the smaller, so the labels are numbered as ``ward_cuts`` numbers them.
+    """
     n = dendrogram.n
     if not (1 <= k <= n):
         raise InvalidK(f"need 1 <= k <= {n}, got {k}")
-    parent = list(range(n))
+    parent = np.arange(n)
+    smallest = list(range(n))  # by id
+    for a, b in dendrogram.merges[:n - k, :2].astype(np.int64).tolist():
+        lo, hi = sorted((smallest[a], smallest[b]))
+        parent[hi] = lo
+        smallest.append(lo)
+    return Partition(_cut_labels(parent[None])[0], k)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    representative = {i: i for i in range(n)}
-    for step in range(n - k):
-        a = int(dendrogram.merges[step, 0])
-        b = int(dendrogram.merges[step, 1])
-        ra = find(representative[a])
-        rb = find(representative[b])
-        parent[rb] = ra
-        representative[n + step] = ra
-    roots = np.fromiter((find(i) for i in range(n)), dtype=np.int64, count=n)
-    _, labels = np.unique(roots, return_inverse=True)
-    first_seen: dict[int, int] = {}
-    remap = np.empty(labels.max() + 1, dtype=np.int64)
-    next_id = 0
-    for lab in labels:
-        if int(lab) not in first_seen:
-            first_seen[int(lab)] = next_id
-            remap[lab] = next_id
-            next_id += 1
-    return Partition(remap[labels], k)
+def _cut_labels(parent: np.ndarray) -> np.ndarray:
+    """Labels from a (B, n) forest in which each node's parent is a smaller
+    node or itself: clusters are numbered by their smallest node."""
+    while True:
+        hop = np.take_along_axis(parent, parent, axis=1)
+        if np.array_equal(hop, parent):
+            break
+        parent = hop
+    rank = np.cumsum(parent == np.arange(parent.shape[1]), axis=1) - 1
+    return np.take_along_axis(rank, parent, axis=1)
 
 
 def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np.ndarray:
@@ -128,10 +124,11 @@ def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np
     holds inf.  Each step merges the first slot pair (a, b), a < b, in
     row-major order whose cost is within TIE_TOL of the least, and updates
     row and column a by the Lance-Williams formula, elementwise.  Every row
-    caches its least cost over the whole row and the column that holds it
-    (Muellner, arXiv:1109.2378, the generic algorithm), so a step rescans
-    only row a, the rows whose least sat in column b, and the rows whose
-    least sat in column a and grew.  The first row whose least is within
+    caches its least cost over the whole row (Muellner, arXiv:1109.2378,
+    the generic algorithm), and only the value, not its column.  A step
+    rescans row a and each row whose least equalled its old entry at a or
+    b while its new entry at a is larger; every other row keeps the lesser
+    of its least and its new entry at a.  The first row whose least is within
     the bound is a: a pair (i, j) within it, i < j, puts both rows i and j
     at or after a.  For the same reason no entry of row a left of the
     diagonal is within the bound, so b is the first column of row a that
@@ -149,8 +146,7 @@ def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np
     nodes = np.arange(n)
     w[:, nodes, nodes] = np.inf
     batch = np.arange(count)
-    row_at = w.argmin(axis=2)
-    row_min = np.take_along_axis(w, row_at[:, :, None], axis=2)[:, :, 0]
+    row_min = w.min(axis=2)
     # Cluster sizes as floats: exact, and the Lance-Williams products then
     # need no integer-to-float casts.
     sizes = np.ones((count, n))
@@ -172,25 +168,18 @@ def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np
         ns = na + nb
         # inf wherever wa or wb is: at a, at b and in dead columns
         upd = ((na + sizes) * wa + (nb + sizes) * wb - sizes * cost[:, None]) / (ns + sizes)
-        # A row's least cost moves to a if the new entry is smaller, or
-        # must be found again if it sat at a and grew, or sat at b.
-        at_a = row_at == a[:, None]
-        rescan = (row_at == b[:, None]) | at_a & (upd > row_min)
-        take = at_a | (upd < row_min)
+        # A row's least must be found again only if it sat at a or b and
+        # the merge raised it; otherwise it is the lesser of it and upd.
+        rescan = ((wa == row_min) | (wb == row_min)) & (upd > row_min)
         rescan[batch, a] = True
         rescan[batch, b] = False  # row b dies below
-        np.copyto(row_min, upd, where=take)
-        np.copyto(row_at, a[:, None], where=take)
+        np.minimum(row_min, upd, out=row_min)
         rows[base + a] = upd
         w[batch, :, a] = upd
         w[batch, :, b] = np.inf
         stale = np.flatnonzero(rescan)
-        fresh = rows[stale]
-        col = fresh.argmin(axis=1)
-        row_at.reshape(-1)[stale] = col
-        row_min.reshape(-1)[stale] = fresh[np.arange(stale.shape[0]), col]
+        row_min.reshape(-1)[stale] = rows[stale].min(axis=1)
         row_min[batch, b] = np.inf
-        row_at[batch, b] = b  # no later column b can name a dead row
         sizes[batch, a] = ns[:, 0]
         parent[batch, node[batch, b]] = node[batch, a]
         if merges is not None:
@@ -203,21 +192,13 @@ def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np
         if 2 * live <= width and step + 1 < n - k:
             alive = np.take_along_axis(parent, node, axis=1) == node
             keep = np.nonzero(alive)[1].reshape(count, live)
-            slot = np.cumsum(alive, axis=1) - 1
             w = w[batch[:, None, None], keep[:, :, None], keep[:, None, :]]
             row_min, sizes, node, ids = (np.take_along_axis(x, keep, axis=1)
                                          for x in (row_min, sizes, node, ids))
-            row_at = np.take_along_axis(slot, np.take_along_axis(row_at, keep, axis=1), axis=1)
             width = live
             rows = w.reshape(count * width, width)
             base = batch * width
-    while True:
-        hop = np.take_along_axis(parent, parent, axis=1)
-        if np.array_equal(hop, parent):
-            break
-        parent = hop
-    rank = np.cumsum(parent == nodes, axis=1) - 1
-    return np.take_along_axis(rank, parent, axis=1)
+    return _cut_labels(parent)
 
 
 def ward_cluster(sqdist: np.ndarray, k: int) -> Partition:

@@ -116,6 +116,15 @@ class TestBatchedWard:
                 got.extend(ward_cuts(np.stack(inputs[start:start + size]), k))
             assert all(np.array_equal(x, y) for x, y in zip(got, expected))
 
+    def test_merge_that_lowers_a_rows_least(self):
+        # Row 3's least is 1/2, at columns 0 and 1.  Merging (0, 1) puts
+        # 1/2 - 2e-13/3 at column 0, below that least, so row 3's cached
+        # least must drop although the merge rescans only rows 0 and 2.
+        base = np.array([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 2], [1, 1, 2, 0]])
+        noise = np.array([[0, 1, 2, 0], [1, 0, -1, 0], [2, -1, 0, 0], [0, 0, 0, 0]])
+        sq = base + noise * 4e-13
+        assert np.array_equal(ward_linkage(sq).merges, reference_ward_merges(sq))
+
     def test_full_stack_merge_rows(self, rng):
         n = 15
         inputs = _inputs("grid", 6, n, rng) + _inputs("random", 6, n, rng)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kernelbench import (
+    Dendrogram,
     adjusted_rand_index,
     cut_dendrogram,
     ward_cluster,
@@ -78,6 +79,11 @@ class TestWardCluster:
         sq = _sqdist_from_points(rng.normal(size=(25, 4)))
         dendrogram = ward_linkage(sq)
         assert np.all(np.diff(dendrogram.merges[:, 2]) >= -1e-9)
+
+    def test_cut_of_rows_listing_the_larger_id_first(self):
+        # (2, 0): node 2 joins node 0's cluster, which keeps label 0
+        tree = Dendrogram(np.array([[2, 0, 1.0, 2]]), 3)
+        assert np.array_equal(cut_dendrogram(tree, 2).labels, [0, 1, 0])
 
     def test_partition_labels_canonical(self, rng):
         sq = _sqdist_from_points(rng.normal(size=(12, 2)))

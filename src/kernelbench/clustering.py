@@ -126,15 +126,16 @@ def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np
     row and column a by the Lance-Williams formula, elementwise.  Every row
     caches its least cost over the whole row (Muellner, arXiv:1109.2378,
     the generic algorithm), and only the value, not its column.  A step
-    rescans row a and each row whose least equalled its old entry at a or
-    b while its new entry at a is larger; every other row keeps the lesser
-    of its least and its new entry at a.  The first row whose least is within
-    the bound is a: a pair (i, j) within it, i < j, puts both rows i and j
-    at or after a.  For the same reason no entry of row a left of the
-    diagonal is within the bound, so b is the first column of row a that
-    is.  When the live slots fall to half the width, the stack is
-    compacted to them, in order, so the tie rule still reads row-major
-    order; ``node`` maps each slot back to its cluster's smallest node.
+    takes row a's least from its new entries and rescans each row whose
+    least equalled its old entry at a or b while its new entry at a is
+    larger; every other row keeps the lesser of its least and its new entry
+    at a.  The first row whose least is within the bound is a: a pair
+    (i, j) within it, i < j, puts both rows i and j at or after a.  For the
+    same reason no entry of row a left of the diagonal is within the bound,
+    so b is the first column of row a that is.  When the live slots fall
+    to half the width, the stack is compacted to them, in order, so the tie
+    rule still reads row-major order; ``node`` maps each slot back to its
+    cluster's smallest node.
     """
     count, n, _ = stack.shape
     if not (1 <= k <= n):
@@ -156,6 +157,7 @@ def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np
     width = n
     rows = w.reshape(count * width, width)
     base = batch * width
+    upd, term = np.empty((count, width)), np.empty((count, width))
     for step in range(n - k):
         bound = row_min.min(axis=1) + TIE_TOL
         a = np.argmax(row_min <= bound[:, None], axis=1)
@@ -166,14 +168,20 @@ def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np
         na = sizes[batch, a][:, None]
         nb = sizes[batch, b][:, None]
         ns = na + nb
-        # inf wherever wa or wb is: at a, at b and in dead columns
-        upd = ((na + sizes) * wa + (nb + sizes) * wb - sizes * cost[:, None]) / (ns + sizes)
-        # A row's least must be found again only if it sat at a or b and
-        # the merge raised it; otherwise it is the lesser of it and upd.
-        rescan = ((wa == row_min) | (wb == row_min)) & (upd > row_min)
-        rescan[batch, a] = True
-        rescan[batch, b] = False  # row b dies below
+        # ((na + sizes) * wa + (nb + sizes) * wb - sizes * cost) / (ns + sizes),
+        # in that order; inf wherever wa or wb is: at a, at b and in dead columns
+        np.multiply(np.add(na, sizes, out=upd), wa, out=upd)
+        upd += np.multiply(np.add(nb, sizes, out=term), wb, out=term)
+        upd -= np.multiply(sizes, cost[:, None], out=term)
+        upd /= np.add(ns, sizes, out=term)
+        # A row's least must be found again only if it sat at a or b (it is
+        # at most both, so it sat there iff it equals their lesser) and the
+        # merge raised it; otherwise it is the lesser of it and upd.  Row a
+        # becomes upd; row b dies below.
+        rescan = (np.minimum(wa, wb, out=term) == row_min) & (upd > row_min)
+        rescan[batch, a] = rescan[batch, b] = False
         np.minimum(row_min, upd, out=row_min)
+        row_min[batch, a] = upd.min(axis=1)
         rows[base + a] = upd
         w[batch, :, a] = upd
         w[batch, :, b] = np.inf
@@ -198,6 +206,7 @@ def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np
             width = live
             rows = w.reshape(count * width, width)
             base = batch * width
+            upd, term = np.empty((count, width)), np.empty((count, width))
     return _cut_labels(parent)
 
 

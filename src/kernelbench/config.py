@@ -8,6 +8,7 @@ unknown keys are rejected.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,12 +135,26 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                             seed, workers, out, constants, data_root)
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, whose YAML 1.1 floats need a dot and a signed
+    exponent, plus YAML 1.2's float form, so that 1e9 and 1.0e9 are numbers.
+    The form is tried after every other implicit type, so it only turns
+    what was a string into a float."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigInvalid(f"no such config file: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigInvalid(f"{path.name}: {exc}") from None
     return config_from_dict(raw)

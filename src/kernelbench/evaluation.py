@@ -18,6 +18,7 @@ sort order so outputs are identical for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ GRID_MARGIN = 0.02
 # Float64 entries in one graph's stack of Ward inputs (4 MB): cells are
 # clustered together in stacks of max(1, STACK_ENTRIES // n**2).
 STACK_ENTRIES = 1 << 19
+
+# Reject curves are averaged on this many evenly spaced x in [0, 1].
+REJECT_GRID_POINTS = 1001
 
 
 def parameter_grid(size: int) -> np.ndarray:
@@ -102,6 +106,10 @@ class RejectCurve:
     auc: float
 
 
+def _samples(spec: BlockModelSpec, n_graphs: int) -> list:
+    return [(spec, i) for i in range(n_graphs)]
+
+
 def _source_graph(source) -> Graph:
     """A graph source is a Graph, or a (spec, index) sample; generating it
     inside the job lets pool workers, not the parent, pay for it."""
@@ -156,14 +164,17 @@ def _graph_cells(args):
     return table, errors
 
 
-def _run_jobs(fn, jobs, workers: int):
-    if workers <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+def _pool(workers: int):
+    """A process pool of ``workers`` processes, or None (run serially) for
+    fewer than 2; one protocol call runs all of its stages on it."""
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
-def _sweep_sources(sources, families, grid, constants, workers) -> dict[str, SweepResult]:
+def _run_jobs(fn, jobs, pool):
+    return list(map(fn, jobs) if pool is None else pool.map(fn, jobs))
+
+
+def _sweep_sources(sources, families, grid, constants, pool) -> dict[str, SweepResult]:
     """Run the per-graph job on each graph source; reduce to one SweepResult
     per family, graphs in source order."""
     grid = np.asarray(grid, dtype=np.float64)
@@ -171,7 +182,7 @@ def _sweep_sources(sources, families, grid, constants, workers) -> dict[str, Swe
     jobs = [(source, families, grid, constants) for source in sources]
     tables = np.empty((len(families), len(jobs), grid.shape[0]))
     errors = []
-    for gi, (table, errs) in enumerate(_run_jobs(_graph_cells, jobs, workers)):
+    for gi, (table, errs) in enumerate(_run_jobs(_graph_cells, jobs, pool)):
         tables[:, gi] = table
         errors.extend((fi, gi, j, marker) for fi, j, marker in errs)
     errors.sort()
@@ -189,7 +200,7 @@ def sweep(g: Graph, family_name: str, grid,
     Returns (ari_vector, errors); error cells hold -1.0 and a marker of the
     raising error type.
     """
-    result = _sweep_sources([g], [family_name], grid, constants, 1)[family_name]
+    result = _sweep_sources([g], [family_name], grid, constants, None)[family_name]
     return result.ari[0], [(j, marker) for _, j, marker in result.errors]
 
 
@@ -197,14 +208,14 @@ def sweep_task(spec: BlockModelSpec, families, grid, n_graphs: int,
                constants: dict[str, float] | None = None,
                workers: int = 1) -> dict[str, SweepResult]:
     """Sweep every family over ``n_graphs`` samples of one block model task."""
-    return _sweep_sources([(spec, i) for i in range(n_graphs)], families, grid,
-                          constants, workers)
+    with _pool(workers) as pool:
+        return _sweep_sources(_samples(spec, n_graphs), families, grid, constants, pool)
 
 
 def sweep_graphs(graphs, families, grid,
                  constants: dict[str, float] | None = None) -> dict[str, SweepResult]:
     """Sweep every family over an explicit list of labeled graphs."""
-    return _sweep_sources(graphs, families, grid, constants, 1)
+    return _sweep_sources(graphs, families, grid, constants, None)
 
 
 def best_of_grid(result: SweepResult) -> tuple[float, float]:
@@ -243,10 +254,12 @@ def copeland_tournament(tasks, families, graphs_per_task: int, grid,
     if len(families) < 2:
         raise ParameterOutOfRange("a tournament needs at least 2 families")
     scores = np.zeros((len(families), len(tasks)), dtype=np.int64)
-    for ti, spec in enumerate(tasks):
-        sweeps = sweep_task(spec, families, grid, graphs_per_task, constants, workers)
-        stats = family_statistics(sweeps, families, statistic)
-        scores[:, ti] = copeland_scores(stats)
+    with _pool(workers) as pool:
+        for ti, spec in enumerate(tasks):
+            sweeps = _sweep_sources(_samples(spec, graphs_per_task), families, grid,
+                                    constants, pool)
+            stats = family_statistics(sweeps, families, statistic)
+            scores[:, ti] = copeland_scores(stats)
     return TournamentResult(
         families, tuple(spec.name for spec in tasks), scores, scores.sum(axis=1)
     )
@@ -264,30 +277,51 @@ def reject_curve(dist: DistanceMatrix | np.ndarray, labels) -> RejectCurve:
     n = m.shape[0]
     iu, ju = np.triu_indices(n, 1)
     values = m[iu, ju]
-    intra_mask = labels[iu] == labels[ju]
-    intra = np.sort(values[intra_mask])
-    inter = np.sort(values[~intra_mask])
-    if intra.size == 0 or inter.size == 0:
+    intra = labels[iu] == labels[ju]
+    n_intra = int(np.count_nonzero(intra))
+    n_inter = values.size - n_intra
+    if n_intra == 0 or n_inter == 0:
         raise DegenerateLabels("need at least one intra-class and one inter-class pair")
-    thresholds = np.unique(values)
-    x = np.searchsorted(inter, thresholds, side="right") / inter.size
-    y = np.searchsorted(intra, thresholds, side="right") / intra.size
-    x = np.concatenate(([0.0], x))
-    y = np.concatenate(([0.0], y))
+    order = np.argsort(values)
+    ordered = values[order]
+    # pairs up to the last of each group of tied distances
+    last = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
+    below = np.cumsum(intra[order])[last]
+    x = np.concatenate(([0.0], (last + 1 - below) / n_inter))
+    y = np.concatenate(([0.0], below / n_intra))
     auc = float(np.trapezoid(y, x))
     return RejectCurve(x, y, auc)
 
 
+def _curve_on_grid(curve: RejectCurve, xs: np.ndarray) -> np.ndarray:
+    """The curve's y at each x of ``xs``; a vertical segment reads its top."""
+    cx, cy = curve.x, curve.y
+    keep = np.ones(cx.shape[0], dtype=bool)
+    keep[:-1] = cx[1:] != cx[:-1]
+    return np.interp(xs, cx[keep], cy[keep])
+
+
+def _mean_curve(ys: list, xs: np.ndarray) -> RejectCurve:
+    """The vertical average of curves sampled on ``xs``, summed in list order."""
+    total = np.zeros_like(xs)
+    for y in ys:
+        total += y
+    total /= len(ys)
+    return RejectCurve(xs, total, float(np.trapezoid(total, xs)))
+
+
 def _graph_reject_job(args):
-    """Reject curves for one graph source at fixed per-family parameters."""
+    """Reject curves of one graph source at fixed per-family parameters, each
+    sampled on the averaging grid, or None where the family errors."""
     source, family_params, constants = args
     g = _source_graph(source)
     evaluator = FamilyEvaluator(g, constants)
+    xs = np.linspace(0.0, 1.0, REJECT_GRID_POINTS)
     curves = []
     for name, p in family_params:
         try:
             dist = reject_distance(evaluator.matrix(name, p))
-            curves.append(reject_curve(dist, g.labels))
+            curves.append(_curve_on_grid(reject_curve(dist, g.labels), xs))
         except KernelBenchError:
             curves.append(None)
     return curves
@@ -298,32 +332,29 @@ def reject_experiment(spec: BlockModelSpec, families, grid, n_graphs: int,
                       workers: int = 1):
     """Average reject curves at each family's ARI-optimal grid parameter.
 
-    Returns {family: (best_parameter, averaged RejectCurve)}.  Graphs where
-    a family errors are dropped from that family's average.
+    Returns {family: (best_parameter, averaged RejectCurve)}, averaged as
+    ``average_reject_curves`` does.  Graphs where a family errors are
+    dropped from that family's average; a family that errors on every graph
+    gets None in place of its curve.
     """
-    sweeps = sweep_task(spec, families, grid, n_graphs, constants, workers)
-    family_params = [(name, best_of_grid(sweeps[name])[0]) for name in families]
-    jobs = [((spec, i), family_params, constants) for i in range(n_graphs)]
-    results = _run_jobs(_graph_reject_job, jobs, workers)
+    sources = _samples(spec, n_graphs)
+    with _pool(workers) as pool:
+        sweeps = _sweep_sources(sources, families, grid, constants, pool)
+        family_params = [(name, best_of_grid(sweeps[name])[0]) for name in families]
+        jobs = [(source, family_params, constants) for source in sources]
+        results = _run_jobs(_graph_reject_job, jobs, pool)
+    xs = np.linspace(0.0, 1.0, REJECT_GRID_POINTS)
     out = {}
     for fi, (name, p) in enumerate(family_params):
-        curves = [cs[fi] for cs in results if cs[fi] is not None]
-        out[name] = (p, average_reject_curves(curves))
+        kept = [curves[fi] for curves in results if curves[fi] is not None]
+        out[name] = (p, _mean_curve(kept, xs) if kept else None)
     return out
 
 
-def average_reject_curves(curves, grid_points: int = 1001) -> RejectCurve:
+def average_reject_curves(curves, grid_points: int = REJECT_GRID_POINTS) -> RejectCurve:
     """Vertical average of reject curves on a fixed x grid."""
     curves = list(curves)
     if not curves:
         raise DegenerateLabels("cannot average zero reject curves")
     xs = np.linspace(0.0, 1.0, grid_points)
-    ys = np.zeros_like(xs)
-    for curve in curves:
-        # collapse duplicate x (vertical segments) onto their upper envelope
-        cx, cy = curve.x, curve.y
-        keep = np.ones(cx.shape[0], dtype=bool)
-        keep[:-1] = cx[1:] != cx[:-1]
-        ys += np.interp(xs, cx[keep], cy[keep])
-    ys /= len(curves)
-    return RejectCurve(xs, ys, float(np.trapezoid(ys, xs)))
+    return _mean_curve([_curve_on_grid(curve, xs) for curve in curves], xs)

@@ -75,12 +75,9 @@ def log_kernel(kernel: ProximityMatrix) -> ProximityMatrix:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, from one exp
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _sigmoid_kernel(base: np.ndarray, sigma: float, t: float, name: str) -> ProximityMatrix:
@@ -107,6 +104,7 @@ class FamilyEvaluator:
         self.graph = g
         self.constants = check_constants(constants or {})
         self._fundamental_at = None
+        self._kernel_at = None
 
     # -- cached per-graph state ------------------------------------------
 
@@ -191,10 +189,16 @@ class FamilyEvaluator:
         return p
 
     def matrix(self, name: str, p: float) -> ProximityMatrix | DistanceMatrix:
-        """Evaluate family ``name`` at normalized parameter ``p``."""
+        """Evaluate family ``name`` at normalized parameter ``p``.
+
+        A plain spectral kernel comes back read-only: the evaluator keeps
+        the last one until the next call, which reuses it for the kernel's
+        log family at the same native parameter.
+        """
         t = self.raw_parameter(name, p)
         plain = _LOG_OF.get(name, name)
         if plain in _KERNELS:
+            kept, self._kernel_at = self._kernel_at, None
             source, f = _KERNELS[plain]
             eigen = getattr(self, source)
             x = t * eigen.values
@@ -204,8 +208,15 @@ class FamilyEvaluator:
             if name == "logComm":
                 # ln exp(tA) in a shifted domain so large t cannot overflow:
                 # exp(tA) = e^top * Q exp(t Lambda - top) Q^T, top = t lambda_max
-                x = x - top
-            kernel = ProximityMatrix(spectral_apply(eigen, f(x)), plain, t)
+                kernel = ProximityMatrix(spectral_apply(eigen, f(x - top)), plain, t)
+            elif kept is not None and kept.family == plain and kept.parameter == t:
+                kernel = kept
+            else:
+                # cells run parameter-major, so a log family's cell often
+                # follows its plain kernel's at the same t
+                kernel = ProximityMatrix(spectral_apply(eigen, f(x)), plain, t)
+                kernel.matrix.flags.writeable = False
+                self._kernel_at = kernel
             if name == plain:
                 return kernel
             logged = log_kernel(kernel)

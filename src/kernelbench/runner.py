@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -131,16 +132,22 @@ def _run_tournament(cfg, grid, out):
 def _run_reject(cfg, grid, out):
     reject_rows = []
     best_rows = []
+    x_grid = x_text = None  # the curves share one x grid: format it once
     for spec in cfg.tasks:
         averaged = reject_experiment(spec, cfg.families, grid, cfg.graphs_per_task,
                                      cfg.constants, cfg.workers)
         curves = []
         for name in cfg.families:
             p, curve = averaged[name]
-            best_rows.append((spec.name, name, _fnum(p), _fnum(curve.auc)))
+            # a family that errored on every graph has no curve
+            auc = np.nan if curve is None else curve.auc
+            best_rows.append((spec.name, name, _fnum(p), _fnum(auc)))
+            if curve is None:
+                continue
             curves.append((name, curve.x, curve.y))
-            for x, y in zip(curve.x, curve.y):
-                reject_rows.append((name, _fnum(x), _fnum(y)))
+            if x_grid is None or not np.array_equal(curve.x, x_grid):
+                x_grid, x_text = curve.x, [_fnum(x) for x in curve.x.tolist()]
+            reject_rows.extend(zip(repeat(name), x_text, map(_fnum, curve.y.tolist())))
         write_curves_svg(
             out / f"reject_{_safe(spec.name)}.svg", curves,
             title=f"average reject curves: {spec.name}",

@@ -74,6 +74,19 @@ class TestConfig:
                                 "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5, "p_out": 0.1}]})
         assert cfg.constants == {"Comm": 2.0, "RSP": 1e9}
 
+    @pytest.mark.parametrize("text", ["1e9", "1.0e9"])
+    def test_unsigned_exponent_is_a_number(self, tmp_path, text):
+        # YAML 1.1 wants a signed exponent; the loader reads YAML 1.2 floats
+        path = _write_cfg(tmp_path, MINI_SWEEP.format(out=tmp_path / "r")
+                          + f"constants: {{Comm: {text}}}\n")
+        assert load_config(path).constants == {"Comm": 1e9}
+
+    def test_quoted_number_is_still_a_string(self, tmp_path):
+        path = _write_cfg(tmp_path, MINI_SWEEP.format(out=tmp_path / "r")
+                          + 'constants: {Comm: "2.0"}\n')
+        with pytest.raises(ConfigInvalid, match="finite number > 0"):
+            load_config(path)
+
     def test_bad_task_shape_rejected(self):
         with pytest.raises(ConfigInvalid, match="task #0"):
             config_from_dict({"kind": "sweep", "families": ["Heat"],
@@ -206,6 +219,29 @@ class TestRunner:
         lines = (out / "reject.csv").read_text().splitlines()
         assert lines[0] == "family,x,y_mean"
         assert len(list(out.glob("reject_*.svg"))) == 1
+
+    def test_reject_run_keeps_family_that_fails_everywhere(self, tmp_path):
+        # Comm overflows at c = 1e9 on every graph and grid point: its
+        # best_params row keeps its parameter with AUC nan, and it has no
+        # curve; Heat is written as in a run without Comm.
+        def reject_run(families, name):
+            return run(config_from_dict({
+                "kind": "reject", "seed": 3, "grid": 3, "graphs": 2,
+                "families": families, "constants": {"Comm": 1.0e9},
+                "out": str(tmp_path / name),
+                "tasks": [{"nodes": 30, "classes": 2, "p_in": 0.5, "p_out": 0.1}],
+            }))
+
+        both = reject_run(["Comm", "Heat"], "both")
+        alone = reject_run(["Heat"], "alone")
+        best = (both / "best_params.csv").read_text().splitlines()
+        assert best[1] == '"G(30,(2)0.5,0.1)",Comm,0.02,nan'
+        assert best[2] == (alone / "best_params.csv").read_text().splitlines()[1]
+        rows = (both / "reject.csv").read_text()
+        assert rows == (alone / "reject.csv").read_text()
+        assert "Comm" not in rows
+        svg = next(both.glob("reject_*.svg")).read_text()
+        assert svg.count("<polyline") == 1 and "data Comm" not in svg
 
     def test_datasets_run(self, tmp_path, zachary_root):
         cfg = config_from_dict({

@@ -3,7 +3,7 @@ import pytest
 
 from kernelbench import evaluation, generate, uniform_spec
 from kernelbench.acceptance import auc_mannwhitney_oracle
-from kernelbench.errors import DegenerateLabels, ParameterOutOfRange
+from kernelbench.errors import DegenerateLabels, KernelBenchError, ParameterOutOfRange
 from kernelbench.evaluation import (
     RejectCurve,
     Statistic,
@@ -171,7 +171,37 @@ class TestCopeland:
         assert stats[0, 0] == -1.0
 
 
+def _three_sort_reject_curve(d, labels):
+    """The reject curve as an earlier version built it: a sort per class,
+    np.unique of the thresholds and a searchsorted per class."""
+    iu, ju = np.triu_indices(d.shape[0], 1)
+    values = d[iu, ju]
+    intra_mask = labels[iu] == labels[ju]
+    intra = np.sort(values[intra_mask])
+    inter = np.sort(values[~intra_mask])
+    thresholds = np.unique(values)
+    x = np.searchsorted(inter, thresholds, side="right") / inter.size
+    y = np.searchsorted(intra, thresholds, side="right") / intra.size
+    x = np.concatenate(([0.0], x))
+    y = np.concatenate(([0.0], y))
+    return x, y, float(np.trapezoid(y, x))
+
+
 class TestRejectCurve:
+    def test_one_sort_matches_three_sorts(self, rng):
+        # tie-heavy integer distances: the same counts, so the same bits
+        for trial in range(60):
+            n = int(rng.integers(4, 41))
+            labels = rng.integers(0, 4, size=n)
+            labels[:4] = [0, 1, 0, 1]
+            d = rng.integers(0, 2 + trial % 7, size=(n, n)).astype(float)
+            d = d + d.T
+            np.fill_diagonal(d, 0.0)
+            curve = reject_curve(d, labels)
+            x, y, auc = _three_sort_reject_curve(d, labels)
+            assert np.array_equal(curve.x, x) and np.array_equal(curve.y, y)
+            assert curve.auc == auc
+
     def test_perfect_separation(self):
         labels = np.array([0, 0, 1, 1])
         d = np.array([
@@ -268,6 +298,49 @@ class TestRejectExperiment:
             p, curve = out[name]
             assert 0.0 < p < 1.0
             assert curve.auc > 0.9
+
+    # Comm at c = 4500 overflows on graphs 1 and 2 at every grid point, and
+    # on graphs 0 and 3 above p = 0.02, so its reject average drops two
+    # graphs; logFor's constant differs from For's.
+    SPEC = uniform_spec(20, 2, 0.6, 0.1, seed=6)
+    FAMILIES = ("pWalk", "Walk", "For", "logFor", "Comm", "logHeat", "SP-CT")
+    CONSTANTS = {"Comm": 4500.0, "logFor": 3.0}
+
+    def test_worker_pool_matches_serial(self):
+        grid = parameter_grid(3)
+        serial = reject_experiment(self.SPEC, self.FAMILIES, grid, 4, self.CONSTANTS, workers=1)
+        pooled = reject_experiment(self.SPEC, self.FAMILIES, grid, 4, self.CONSTANTS, workers=2)
+        for name in self.FAMILIES:
+            (p, curve), (q, other) = serial[name], pooled[name]
+            assert p == q and curve.auc == other.auc
+            assert np.array_equal(curve.x, other.x) and np.array_equal(curve.y, other.y)
+
+    def test_reduced_in_job_as_average_reject_curves(self):
+        # each graph's curves, averaged by the public function, give the
+        # protocol's result bit for bit, graphs that error dropped
+        grid = parameter_grid(3)
+        out = reject_experiment(self.SPEC, self.FAMILIES, grid, 4, self.CONSTANTS)
+        evaluators = [FamilyEvaluator(generate(self.SPEC, i), self.CONSTANTS) for i in range(4)]
+        dropped = {}
+        for name in self.FAMILIES:
+            p, curve = out[name]
+            curves = []
+            for ev in evaluators:
+                try:
+                    dist = reject_distance(ev.matrix(name, p))
+                except KernelBenchError:
+                    continue
+                curves.append(reject_curve(dist, ev.graph.labels))
+            dropped[name] = len(evaluators) - len(curves)
+            expected = average_reject_curves(curves)
+            assert np.array_equal(curve.x, expected.x) and np.array_equal(curve.y, expected.y)
+            assert curve.auc == expected.auc
+        assert dropped == dict.fromkeys(self.FAMILIES, 0) | {"Comm": 2}
+
+    def test_family_failing_on_every_graph_has_no_curve(self):
+        out = reject_experiment(self.SPEC, ("Comm", "Heat"), parameter_grid(3), 2, {"Comm": 1e9})
+        assert out["Comm"] == (0.02, None)
+        assert out["Heat"][1].auc > 0.5
 
 
 class TestNodeOrderInvariance:

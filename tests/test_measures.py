@@ -191,6 +191,28 @@ class TestLogKernel:
         k = ev.matrix("logComm", 0.999).matrix
         assert np.all(np.isfinite(k))
 
+    def test_shared_plain_kernel_changes_no_value(self):
+        # Walk, logFor and logHeat take the plain kernel of the call just
+        # before them at the same t; logFor's constant differs from For's
+        # in the second evaluator, so there nothing is taken.  Every value
+        # and every error equals a fresh evaluator's.
+        g = _weighted_block_model(109)
+        for constants in ({}, {"logFor": 3.0}):
+            shared = FamilyEvaluator(g, constants)
+            for p in parameter_grid(12):
+                for plain, log in (("pWalk", "Walk"), ("For", "logFor"), ("Heat", "logHeat")):
+                    kernel = shared.matrix(plain, float(p)).matrix
+                    assert not kernel.flags.writeable
+                    fresh = FamilyEvaluator(g, constants).matrix(plain, float(p)).matrix
+                    assert np.array_equal(kernel, fresh)
+                    try:
+                        expected = FamilyEvaluator(g, constants).matrix(log, float(p)).matrix
+                    except NonPositiveEntry:
+                        with pytest.raises(NonPositiveEntry):
+                            shared.matrix(log, float(p))
+                    else:
+                        assert np.array_equal(shared.matrix(log, float(p)).matrix, expected)
+
 
 class TestCommuteTime:
     # the commute-time kernel is the Laplacian pseudoinverse, ev.lap_pinv
@@ -258,6 +280,17 @@ class TestSigmoidKernels:
             k = ev.matrix(name, _p(2.0)).matrix
             assert k.min() > 0.0
             assert k.max() < 1.0
+
+    def test_one_exp_sigmoid_matches_two_masked_branches(self, rng):
+        # the form the sigmoid had: exp(-x) on x >= 0, exp(x) below
+        x = np.concatenate([rng.standard_normal(4000) * s for s in (1e-3, 1.0, 40.0, 800.0)]
+                           + [np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308])])
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        assert np.array_equal(_sigmoid_kernel(x, 1.0, 1.0, "SCT").matrix, ref)
 
     def test_zero_base_entry_maps_to_half(self):
         base = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -2,14 +2,15 @@
 
 Config files are YAML-syntax key/value documents (committed examples live
 in ``configs/``).  Every key is validated before any computation starts and
-unknown keys are rejected.
+unknown keys are rejected.  ``config_from_dict`` is the one parser: the CLI
+overrides and the run manifest, written by ``config_to_dict``, go through it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import yaml
@@ -27,14 +28,11 @@ _TOP_KEYS = {
 }
 _UNIFORM_TASK_KEYS = {"nodes", "classes", "p_in", "p_out"}
 _UNEQUAL_TASK_KEYS = {"nodes", "n1", "p_in", "p_out"}
-_GENERAL_TASK_KEYS = {"sizes", "probabilities"}
+_GENERAL_TASK_KEYS = {"sizes", "probabilities"}  # and an optional "name"
 
-# Integer settings and their least values, alike in a config file and in
-# the CLI overrides.
-_LEAST = {"seed": 0, "workers": 0, "grid": 1, "graphs": 1}
-
-# A datasets run evaluates each dataset's one graph, so it takes no 'graphs'.
-_DATASETS_GRAPHS = "'graphs' does not apply to kind 'datasets' (one graph per dataset)"
+# Integer settings and their least values.
+_LEAST = {"seed": 0, "workers": 0, "grid": 1, "graphs": 1,
+          "nodes": 1, "classes": 1, "n1": 1, "sizes": 1}
 
 
 @dataclass(frozen=True)
@@ -57,11 +55,18 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigInvalid(message)
 
 
-def _count(key: str, value) -> int:
+def _count(key: str, value, where: str = "") -> int:
     # bool is an int subclass, so YAML's true/false would pass as 1/0
     _require(isinstance(value, int) and not isinstance(value, bool) and value >= _LEAST[key],
-             f"'{key}' must be an integer >= {_LEAST[key]}")
+             f"{where}'{key}' must be an integer >= {_LEAST[key]}")
     return value
+
+
+def _real(key: str, value, where: str) -> float:
+    # the rule constants follow: a quoted "0.3" stays a string and true is no number
+    _require(isinstance(value, Real) and not isinstance(value, bool),
+             f"{where}'{key}' must be a real number, got {value!r}")
+    return float(value)
 
 
 def _task_spec(entry, index: int, seed: int) -> BlockModelSpec:
@@ -70,19 +75,34 @@ def _task_spec(entry, index: int, seed: int) -> BlockModelSpec:
         _require(entry == "sixclass150", f"unknown task shorthand {entry!r}")
         return six_class_spec(seed=task_seed)
     _require(isinstance(entry, dict), f"task #{index} must be a mapping or shorthand")
+    where = f"task #{index}: "
     keys = set(entry)
     if keys == _UNIFORM_TASK_KEYS:
-        return uniform_spec(int(entry["nodes"]), int(entry["classes"]),
-                            float(entry["p_in"]), float(entry["p_out"]), task_seed)
+        return uniform_spec(_count("nodes", entry["nodes"], where),
+                            _count("classes", entry["classes"], where),
+                            _real("p_in", entry["p_in"], where),
+                            _real("p_out", entry["p_out"], where), task_seed)
     if keys == _UNEQUAL_TASK_KEYS:
-        return two_class_unequal_spec(int(entry["n1"]), int(entry["nodes"]),
-                                      float(entry["p_in"]), float(entry["p_out"]), task_seed)
-    if keys == _GENERAL_TASK_KEYS:
-        return block_model_spec(entry["sizes"], entry["probabilities"], task_seed)
+        return two_class_unequal_spec(_count("n1", entry["n1"], where),
+                                      _count("nodes", entry["nodes"], where),
+                                      _real("p_in", entry["p_in"], where),
+                                      _real("p_out", entry["p_out"], where), task_seed)
+    if keys - {"name"} == _GENERAL_TASK_KEYS:
+        sizes, rows = entry["sizes"], entry["probabilities"]
+        name = entry.get("name", "")
+        _require(isinstance(sizes, (list, tuple)), f"{where}'sizes' must be a list")
+        m = len(sizes)
+        _require(isinstance(rows, (list, tuple)) and len(rows) == m
+                 and all(isinstance(row, (list, tuple)) and len(row) == m for row in rows),
+                 f"{where}'probabilities' must be {m} rows of {m} numbers")
+        _require(isinstance(name, str), f"{where}'name' must be a string")
+        return block_model_spec([_count("sizes", s, where) for s in sizes],
+                                [[_real("probabilities", p, where) for p in row] for row in rows],
+                                task_seed, name)
     raise ConfigInvalid(
         f"task #{index}: keys {sorted(keys)} match no task shape "
         f"(uniform {sorted(_UNIFORM_TASK_KEYS)}, unequal {sorted(_UNEQUAL_TASK_KEYS)}, "
-        f"general {sorted(_GENERAL_TASK_KEYS)})"
+        f"general {sorted(_GENERAL_TASK_KEYS)} and an optional 'name')"
     )
 
 
@@ -94,15 +114,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     kind = str(raw["kind"])
     _require(kind in KINDS, f"kind must be one of {KINDS}, got {kind!r}")
 
-    families = tuple(str(f) for f in raw.get("families", ()))
-    _require(len(families) > 0, "config needs a nonempty 'families' list")
+    families = raw.get("families", ())
+    _require(isinstance(families, (list, tuple)) and len(families) > 0,
+             "config needs a nonempty 'families' list")
+    families = tuple(str(f) for f in families)
     bad = [f for f in families if f not in FAMILIES]
     _require(not bad, f"unknown families: {bad}")
     _require(len(set(families)) == len(families), "duplicate family names")
 
     seed = _count("seed", raw.get("seed", 1))
     grid_size = _count("grid", raw.get("grid", 55 if kind == "datasets" else 50))
-    _require(kind != "datasets" or "graphs" not in raw, _DATASETS_GRAPHS)
+    # a datasets run evaluates each dataset's one graph
+    _require(kind != "datasets" or "graphs" not in raw,
+             "'graphs' does not apply to kind 'datasets' (one graph per dataset)")
     graphs = _count("graphs", raw.get("graphs", 1 if kind == "datasets" else 50))
 
     try:
@@ -160,13 +184,26 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _task_entry(spec: BlockModelSpec, index: int, seed: int) -> dict:
+    """A generated task in the general shape; its seed is left out, as
+    ``_task_spec`` derives it from the config seed and the task's index."""
+    entry = {"sizes": list(spec.sizes), "probabilities": spec.probabilities.tolist(),
+             "name": spec.name}
+    _require(_task_spec(entry, index, seed).seed == spec.seed,
+             f"task #{index} ({spec.name}) has seed {spec.seed}, not the one config seed "
+             f"{seed} gives it")
+    return entry
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Round-trippable dict for the run manifest (no 'graphs' for datasets)."""
+    """The config as file keys, for the run manifest: ``config_from_dict``
+    parses it back to the same config (no 'graphs' for datasets)."""
     generated = cfg.kind != "datasets"
     out = {
         "kind": cfg.kind,
         "families": list(cfg.families),
-        "tasks": [spec.to_dict() for spec in cfg.tasks] if generated else list(cfg.tasks),
+        "tasks": ([_task_entry(spec, i, cfg.seed) for i, spec in enumerate(cfg.tasks)]
+                  if generated else list(cfg.tasks)),
         "grid": cfg.grid_size,
         "statistic": str(cfg.statistic),
         "seed": cfg.seed,
@@ -182,26 +219,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def apply_overrides(cfg: ExperimentConfig, seed=None, workers=None, out=None,
                     grid=None, graphs=None) -> ExperimentConfig:
-    """CLI flag overrides, checked as in a config file; a new seed
-    re-derives the per-task spec seeds."""
-    for key, value in (("seed", seed), ("workers", workers), ("grid", grid), ("graphs", graphs)):
-        if value is not None:
-            _count(key, value)
-    _require(cfg.kind != "datasets" or graphs is None, _DATASETS_GRAPHS)
-    if seed is not None and seed != cfg.seed and cfg.kind != "datasets":
-        tasks = tuple(
-            dataclasses.replace(spec, seed=seed + i) for i, spec in enumerate(cfg.tasks)
-        )
-        cfg = dataclasses.replace(cfg, tasks=tasks)
-    updates = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if workers is not None:
-        updates["workers"] = workers
-    if out is not None:
-        updates["out"] = out
-    if grid is not None:
-        updates["grid_size"] = grid
-    if graphs is not None:
-        updates["graphs_per_task"] = graphs
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    """CLI flag overrides: each flag given is set as the file key of its
+    name and the result is parsed as a config file is."""
+    raw = config_to_dict(cfg)
+    flags = {"seed": seed, "workers": workers, "out": out, "grid": grid, "graphs": graphs}
+    raw.update({key: value for key, value in flags.items() if value is not None})
+    return config_from_dict(raw)

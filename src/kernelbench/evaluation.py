@@ -70,13 +70,15 @@ class Statistic:
             return cls("percentile", q)
         raise ParameterOutOfRange(f"unknown statistic {text!r} (use max or percentile:q)")
 
-    def of(self, values: np.ndarray) -> float:
+    def of(self, values: np.ndarray) -> np.ndarray:
+        """The statistic of ``values`` along its last axis."""
         if self.kind == "max":
-            return float(np.max(values))
-        return float(np.percentile(values, self.q))
+            return np.max(values, axis=-1)
+        return np.percentile(values, self.q, axis=-1)
 
     def __str__(self) -> str:
-        return "max" if self.kind == "max" else f"percentile:{self.q:g}"
+        # repr is the shortest text that parses back to q; 80.0 prints as 80
+        return "max" if self.kind == "max" else f"percentile:{self.q!r}".removesuffix(".0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,10 +241,7 @@ def copeland_scores(stats: np.ndarray) -> np.ndarray:
 def family_statistics(sweeps: dict[str, SweepResult], families,
                       statistic: Statistic) -> np.ndarray:
     """(n_graphs, n_families) per-graph grid statistics."""
-    columns = [
-        np.apply_along_axis(statistic.of, 1, sweeps[name].ari) for name in families
-    ]
-    return np.stack(columns, axis=1)
+    return np.stack([statistic.of(sweeps[name].ari) for name in families], axis=1)
 
 
 def copeland_tournament(tasks, families, graphs_per_task: int, grid,

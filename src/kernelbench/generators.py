@@ -54,14 +54,6 @@ class BlockModelSpec:
     def labels(self) -> np.ndarray:
         return np.repeat(np.arange(len(self.sizes)), self.sizes)
 
-    def to_dict(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "probabilities": np.asarray(self.probabilities).tolist(),
-            "seed": int(self.seed),
-            "name": self.name,
-        }
-
 
 def block_model_spec(sizes, probabilities, seed: int, name: str = "") -> BlockModelSpec:
     """Validate and build a block model specification."""

@@ -34,10 +34,12 @@ def _format_points(point: str, sep: str, xs: np.ndarray, ys: np.ndarray) -> str:
 
 def write_curves_svg(path: str | Path, curves, title: str = "",
                      xlabel: str = "", ylabel: str = "",
-                     y_range=(0.0, 1.0)) -> Path:
+                     y_range=(0.0, 1.0), slots=None) -> Path:
     """Write labeled polyline curves to ``path``.
 
     ``curves`` is a sequence of (label, x_array, y_array) with x in [0, 1].
+    ``slots`` gives each curve's palette position (default: its index), so
+    that a curve keeps its colour when a curve before it is left out.
     """
     path = Path(path)
     y0, y1 = float(y_range[0]), float(y_range[1])
@@ -97,8 +99,10 @@ def write_curves_svg(path: str | Path, curves, title: str = "",
             f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.0f})">{ylabel}</text>'
         )
 
-    for idx, (label, xs, ys) in enumerate(curves):
-        color = PALETTE[idx % len(PALETTE)]
+    if slots is None:
+        slots = range(len(curves))
+    for idx, ((label, xs, ys), slot) in enumerate(zip(curves, slots)):
+        color = PALETTE[slot % len(PALETTE)]
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         data = _format_points("%.6g,%.6g", ";", xs, ys)

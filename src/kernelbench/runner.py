@@ -136,8 +136,8 @@ def _run_reject(cfg, grid, out):
     for spec in cfg.tasks:
         averaged = reject_experiment(spec, cfg.families, grid, cfg.graphs_per_task,
                                      cfg.constants, cfg.workers)
-        curves = []
-        for name in cfg.families:
+        curves, slots = [], []
+        for slot, name in enumerate(cfg.families):
             p, curve = averaged[name]
             # a family that errored on every graph has no curve
             auc = np.nan if curve is None else curve.auc
@@ -145,13 +145,14 @@ def _run_reject(cfg, grid, out):
             if curve is None:
                 continue
             curves.append((name, curve.x, curve.y))
+            slots.append(slot)
             if x_grid is None or not np.array_equal(curve.x, x_grid):
                 x_grid, x_text = curve.x, [_fnum(x) for x in curve.x.tolist()]
             reject_rows.extend(zip(repeat(name), x_text, map(_fnum, curve.y.tolist())))
         write_curves_svg(
             out / f"reject_{_safe(spec.name)}.svg", curves,
             title=f"average reject curves: {spec.name}",
-            xlabel="inter-class share", ylabel="intra-class share",
+            xlabel="inter-class share", ylabel="intra-class share", slots=slots,
         )
     _write_csv(out / "reject.csv", ("family", "x", "y_mean"), reject_rows)
     _write_csv(out / "best_params.csv", ("task", "family", "param", "auc"), best_rows)

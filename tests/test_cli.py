@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
+from kernelbench import cli
 from kernelbench.cli import main
-from kernelbench.config import apply_overrides, config_from_dict, load_config
+from kernelbench.config import apply_overrides, config_from_dict, config_to_dict, load_config
 from kernelbench.errors import ConfigInvalid
+from kernelbench.plots import PALETTE
 from kernelbench.runner import run
 
 MINI_SWEEP = """
@@ -23,6 +26,28 @@ def _write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def _task_specs(cfg):
+    return [(t.sizes, t.probabilities.tolist(), t.seed, t.name) for t in cfg.tasks]
+
+
+def _assert_round_trips(cfg):
+    """The config's file keys parse back to the same keys and task specs.
+    Specs compare by identity, so configs are compared through their keys."""
+    keys = config_to_dict(cfg)
+    back = config_from_dict(keys)
+    assert config_to_dict(back) == keys
+    if cfg.kind != "datasets":
+        assert _task_specs(back) == _task_specs(cfg)
+
+
+def _assert_manifest_round_trips(out, cfg):
+    keys = json.loads((out / "manifest.json").read_text())["config"]
+    assert keys == config_to_dict(cfg)
+    assert config_to_dict(config_from_dict(keys)) == keys
+    if cfg.kind != "datasets":
+        assert _task_specs(config_from_dict(keys)) == _task_specs(cfg)
 
 
 class TestConfig:
@@ -133,6 +158,62 @@ class TestConfig:
         assert cfg.tasks[1].sizes == (5, 25)
         assert cfg.tasks[2].sizes == (3, 4)
         assert [t.seed for t in cfg.tasks] == [5, 6, 7]
+        assert [t.name for t in cfg.tasks] == ["sixclass150", "unequal(5,25)", "blocks3x4"]
+        _assert_round_trips(cfg)
+
+    def test_general_task_takes_a_name(self):
+        cfg = config_from_dict({
+            "kind": "sweep", "families": ["Heat"], "seed": 5,
+            "tasks": [{"sizes": [3, 4], "probabilities": [[0.9, 0.2], [0.2, 0.9]],
+                       "name": "G(7,(2)0.9,0.2)"}],
+        })
+        assert cfg.tasks[0].name == "G(7,(2)0.9,0.2)"
+        _assert_round_trips(cfg)
+
+    def test_task_seed_off_its_index_is_not_written(self):
+        cfg = config_from_dict({"kind": "sweep", "families": ["Heat"], "seed": 5,
+                                "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5, "p_out": 0.1}]})
+        cfg = dataclasses.replace(cfg, tasks=(dataclasses.replace(cfg.tasks[0], seed=9),))
+        with pytest.raises(ConfigInvalid, match="task #0"):
+            config_to_dict(cfg)
+
+    @pytest.mark.parametrize("families, task, match", [
+        (["Heat"], {"nodes": "abc", "classes": 2, "p_in": 0.3, "p_out": 0.1},
+         "task #0: 'nodes' must be an integer >= 1"),
+        (["Heat"], {"nodes": 100.7, "classes": 2, "p_in": 0.3, "p_out": 0.1},
+         "task #0: 'nodes' must be an integer >= 1"),
+        (["Heat"], {"nodes": 10, "classes": 0, "p_in": 0.3, "p_out": 0.1},
+         "task #0: 'classes' must be an integer >= 1"),
+        (["Heat"], {"nodes": 10, "n1": 0, "p_in": 0.3, "p_out": 0.1},
+         "task #0: 'n1' must be an integer >= 1"),
+        (["Heat"], {"sizes": [3, "x"], "probabilities": [[0.9, 0.2], [0.2, 0.9]]},
+         "task #0: 'sizes' must be an integer >= 1"),
+        (["Heat"], {"sizes": [3, 0], "probabilities": [[0.9, 0.2], [0.2, 0.9]]},
+         "task #0: 'sizes' must be an integer >= 1"),
+        (["Heat"], {"sizes": 7, "probabilities": [[0.9]]}, "task #0: 'sizes' must be a list"),
+        (["Heat"], {"nodes": 10, "classes": 2, "p_in": "0.3", "p_out": 0.1},
+         "task #0: 'p_in' must be a real number"),
+        (["Heat"], {"nodes": 10, "classes": 2, "p_in": 0.3, "p_out": True},
+         "task #0: 'p_out' must be a real number"),
+        (["Heat"], {"sizes": [3, 4], "probabilities": [[0.9, "0.2"], [0.2, 0.9]]},
+         "task #0: 'probabilities' must be a real number"),
+        (["Heat"], {"sizes": [3, 4], "probabilities": [[0.9, 0.2], [0.2]]},
+         "task #0: 'probabilities' must be 2 rows of 2 numbers"),
+        (["Heat"], {"sizes": [3, 4], "probabilities": [[0.9, 0.2], [0.2, 0.9]], "name": 5},
+         "task #0: 'name' must be a string"),
+        ("Heat", {"nodes": 10, "classes": 2, "p_in": 0.3, "p_out": 0.1},
+         "nonempty 'families' list"),
+        ({"Heat": 1}, {"nodes": 10, "classes": 2, "p_in": 0.3, "p_out": 0.1},
+         "nonempty 'families' list"),
+    ])
+    def test_bad_task_field_is_an_error(self, tmp_path, capsys, families, task, match):
+        # JSON is YAML: "0.3" stays a string and true a boolean
+        raw = {"kind": "sweep", "families": families, "grid": 2, "graphs": 1,
+               "out": str(tmp_path / "o"), "tasks": [task]}
+        assert main(["run", str(_write_cfg(tmp_path, json.dumps(raw)))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err
+        assert not (tmp_path / "o").exists()
 
     def test_overrides_rederive_task_seeds(self):
         cfg = config_from_dict({
@@ -161,6 +242,23 @@ class TestConfig:
         for name in ("table1", "table2", "fig5", "table4"):
             cfg = load_config(f"configs/{name}.cfg")
             assert len(cfg.families) == 13
+            _assert_round_trips(cfg)
+
+    @pytest.mark.parametrize("key, flag, value", [
+        ("seed", "--seed", 100), ("workers", "--workers", 2), ("out", "--out", "elsewhere"),
+        ("grid", "--grid", 7), ("graphs", "--graphs", 3),
+    ])
+    def test_flag_parses_as_file_key(self, tmp_path, monkeypatch, key, flag, value):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or tmp_path)
+        raw = {"kind": "sweep", "seed": 11, "grid": 4, "graphs": 2, "families": ["Heat"],
+               "out": str(tmp_path / "o"),
+               "tasks": [{"nodes": 16, "classes": 2, "p_in": 0.9, "p_out": 0.1}, "sixclass150"]}
+        path = _write_cfg(tmp_path, json.dumps(raw))
+        assert main(["run", str(path), flag, str(value)]) == 0
+        edited = load_config(_write_cfg(tmp_path, json.dumps({**raw, key: value}), "edited.cfg"))
+        assert config_to_dict(seen[0]) == config_to_dict(edited)
+        assert _task_specs(seen[0]) == _task_specs(edited)
 
 
 class TestRunner:
@@ -177,6 +275,7 @@ class TestRunner:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["kind"] == "sweep"
         assert set(manifest) == {"config", "version", "timestamp"}
+        _assert_manifest_round_trips(out, cfg)
         # polyline data is embedded in the SVG
         assert "<!-- data" in svgs[0].read_text()
 
@@ -207,6 +306,7 @@ class TestRunner:
         assert len(totals) == 3
         scores = [int(line.rsplit(",", 1)[1]) for line in totals]
         assert sum(scores) == 0
+        _assert_manifest_round_trips(out, cfg)
 
     def test_reject_run(self, tmp_path):
         cfg = config_from_dict({
@@ -219,6 +319,7 @@ class TestRunner:
         lines = (out / "reject.csv").read_text().splitlines()
         assert lines[0] == "family,x,y_mean"
         assert len(list(out.glob("reject_*.svg"))) == 1
+        _assert_manifest_round_trips(out, cfg)
 
     def test_reject_run_keeps_family_that_fails_everywhere(self, tmp_path):
         # Comm overflows at c = 1e9 on every graph and grid point: its
@@ -242,6 +343,9 @@ class TestRunner:
         assert "Comm" not in rows
         svg = next(both.glob("reject_*.svg")).read_text()
         assert svg.count("<polyline") == 1 and "data Comm" not in svg
+        # each family keeps the colour of its place in 'families'
+        assert f'stroke="{PALETTE[1]}"' in svg and PALETTE[0] not in svg
+        assert PALETTE[0] in next(alone.glob("reject_*.svg")).read_text()
 
     def test_datasets_run(self, tmp_path, zachary_root):
         cfg = config_from_dict({
@@ -255,6 +359,7 @@ class TestRunner:
         assert (out / "tournament.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert config_from_dict(manifest["config"]) == cfg
+        _assert_manifest_round_trips(out, cfg)
         rows = (out / "sweep.csv").read_text().splitlines()
         # header + 3 families x 6 grid points x 1 graph
         assert len(rows) == 1 + 18

@@ -56,6 +56,21 @@ class TestStatistic:
         values = rng.normal(size=37)
         assert Statistic.parse("percentile:100").of(values) == values.max()
 
+    @pytest.mark.parametrize("text", ["max", "percentile:80", "percentile:0",
+                                      "percentile:12.3456789", "percentile:33.333333333333336"])
+    def test_text_parses_back(self, text):
+        assert str(Statistic.parse(text)) == text
+        assert Statistic.parse(str(Statistic.parse(text))) == Statistic.parse(text)
+
+    @pytest.mark.parametrize("text", ["max", "percentile:80", "percentile:12.3456789"])
+    def test_table_reduced_as_row_by_row(self, rng, text):
+        # a (graphs, grid) ARI table with -1 error cells, as family_statistics sees it
+        table = np.where(rng.random((30, 17)) < 0.2, -1.0, rng.uniform(-0.5, 1.0, (30, 17)))
+        statistic = Statistic.parse(text)
+        rows = [np.max(row) if statistic.kind == "max" else np.percentile(row, statistic.q)
+                for row in table]
+        assert statistic.of(table).tolist() == rows
+
 
 class TestSweep:
     def test_separated_blocks_ari_one_across_grid(self, separated_graph):

@@ -15,16 +15,16 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigInvalid, ParameterOutOfRange
+from .errors import ConfigInvalid
 from .evaluation import Statistic
-from .families import FAMILIES, check_constants
+from .families import FAMILIES
 from .generators import BlockModelSpec, block_model_spec, six_class_spec, two_class_unequal_spec, uniform_spec
 
 KINDS = ("sweep", "tournament", "reject", "datasets")
 
 _TOP_KEYS = {
     "kind", "families", "tasks", "grid", "graphs", "statistic", "seed",
-    "workers", "out", "constants", "data_root",
+    "workers", "out", "data_root",
 }
 _UNIFORM_TASK_KEYS = {"nodes", "classes", "p_in", "p_out"}
 _UNEQUAL_TASK_KEYS = {"nodes", "n1", "p_in", "p_out"}
@@ -46,7 +46,6 @@ class ExperimentConfig:
     seed: int
     workers: int
     out: str
-    constants: dict[str, float]
     data_root: str | None = None
 
 
@@ -63,7 +62,7 @@ def _count(key: str, value, where: str = "") -> int:
 
 
 def _real(key: str, value, where: str) -> float:
-    # the rule constants follow: a quoted "0.3" stays a string and true is no number
+    # a quoted "0.3" stays a string, and true is no number
     _require(isinstance(value, Real) and not isinstance(value, bool),
              f"{where}'{key}' must be a real number, got {value!r}")
     return float(value)
@@ -135,10 +134,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigInvalid(f"bad 'statistic': {exc}") from None
 
     workers = _count("workers", raw.get("workers", 1))
-    try:
-        constants = check_constants(raw.get("constants", {}))
-    except ParameterOutOfRange as exc:
-        raise ConfigInvalid(str(exc)) from None
 
     tasks_raw = raw.get("tasks", ())
     _require(isinstance(tasks_raw, (list, tuple)) and len(tasks_raw) > 0,
@@ -156,7 +151,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         data_root = str(data_root)
 
     return ExperimentConfig(kind, families, tasks, grid_size, graphs, statistic,
-                            seed, workers, out, constants, data_root)
+                            seed, workers, out, data_root)
 
 
 class _Loader(yaml.SafeLoader):
@@ -209,7 +204,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "workers": cfg.workers,
         "out": cfg.out,
-        "constants": dict(cfg.constants),
         "data_root": cfg.data_root,
     }
     if generated:

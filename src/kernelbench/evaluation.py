@@ -130,9 +130,9 @@ def _graph_cells(args):
     matrix.  The Ward inputs are clustered in stacks of up to STACK_ENTRIES
     entries; ``clustering_sqdist`` is their one check.
     """
-    source, families, grid, constants = args
+    source, families, grid = args
     g = _source_graph(source)
-    evaluator = FamilyEvaluator(g, constants)
+    evaluator = FamilyEvaluator(g)
     k = g.num_classes
     table = np.empty((len(families), grid.shape[0]))
     errors = []
@@ -176,12 +176,12 @@ def _run_jobs(fn, jobs, pool):
     return list(map(fn, jobs) if pool is None else pool.map(fn, jobs))
 
 
-def _sweep_sources(sources, families, grid, constants, pool) -> dict[str, SweepResult]:
+def _sweep_sources(sources, families, grid, pool) -> dict[str, SweepResult]:
     """Run the per-graph job on each graph source; reduce to one SweepResult
     per family, graphs in source order."""
     grid = np.asarray(grid, dtype=np.float64)
     families = list(families)
-    jobs = [(source, families, grid, constants) for source in sources]
+    jobs = [(source, families, grid) for source in sources]
     tables = np.empty((len(families), len(jobs), grid.shape[0]))
     errors = []
     for gi, (table, errs) in enumerate(_run_jobs(_graph_cells, jobs, pool)):
@@ -195,29 +195,26 @@ def _sweep_sources(sources, families, grid, constants, pool) -> dict[str, SweepR
     }
 
 
-def sweep(g: Graph, family_name: str, grid,
-          constants: dict[str, float] | None = None):
+def sweep(g: Graph, family_name: str, grid):
     """ARI per grid parameter for one family on one labeled graph.
 
     Returns (ari_vector, errors); error cells hold -1.0 and a marker of the
     raising error type.
     """
-    result = _sweep_sources([g], [family_name], grid, constants, None)[family_name]
+    result = _sweep_sources([g], [family_name], grid, None)[family_name]
     return result.ari[0], [(j, marker) for _, j, marker in result.errors]
 
 
 def sweep_task(spec: BlockModelSpec, families, grid, n_graphs: int,
-               constants: dict[str, float] | None = None,
                workers: int = 1) -> dict[str, SweepResult]:
     """Sweep every family over ``n_graphs`` samples of one block model task."""
     with _pool(workers) as pool:
-        return _sweep_sources(_samples(spec, n_graphs), families, grid, constants, pool)
+        return _sweep_sources(_samples(spec, n_graphs), families, grid, pool)
 
 
-def sweep_graphs(graphs, families, grid,
-                 constants: dict[str, float] | None = None) -> dict[str, SweepResult]:
+def sweep_graphs(graphs, families, grid) -> dict[str, SweepResult]:
     """Sweep every family over an explicit list of labeled graphs."""
-    return _sweep_sources(graphs, families, grid, constants, None)
+    return _sweep_sources(graphs, families, grid, None)
 
 
 def best_of_grid(result: SweepResult) -> tuple[float, float]:
@@ -245,9 +242,7 @@ def family_statistics(sweeps: dict[str, SweepResult], families,
 
 
 def copeland_tournament(tasks, families, graphs_per_task: int, grid,
-                        statistic: Statistic,
-                        constants: dict[str, float] | None = None,
-                        workers: int = 1) -> TournamentResult:
+                        statistic: Statistic, workers: int = 1) -> TournamentResult:
     """Run the pairwise-comparison tournament over block model tasks."""
     families = tuple(families)
     if len(families) < 2:
@@ -255,8 +250,7 @@ def copeland_tournament(tasks, families, graphs_per_task: int, grid,
     scores = np.zeros((len(families), len(tasks)), dtype=np.int64)
     with _pool(workers) as pool:
         for ti, spec in enumerate(tasks):
-            sweeps = _sweep_sources(_samples(spec, graphs_per_task), families, grid,
-                                    constants, pool)
+            sweeps = _sweep_sources(_samples(spec, graphs_per_task), families, grid, pool)
             stats = family_statistics(sweeps, families, statistic)
             scores[:, ti] = copeland_scores(stats)
     return TournamentResult(
@@ -312,9 +306,9 @@ def _mean_curve(ys: list, xs: np.ndarray) -> RejectCurve:
 def _graph_reject_job(args):
     """Reject curves of one graph source at fixed per-family parameters, each
     sampled on the averaging grid, or None where the family errors."""
-    source, family_params, constants = args
+    source, family_params = args
     g = _source_graph(source)
-    evaluator = FamilyEvaluator(g, constants)
+    evaluator = FamilyEvaluator(g)
     xs = np.linspace(0.0, 1.0, REJECT_GRID_POINTS)
     curves = []
     for name, p in family_params:
@@ -327,7 +321,6 @@ def _graph_reject_job(args):
 
 
 def reject_experiment(spec: BlockModelSpec, families, grid, n_graphs: int,
-                      constants: dict[str, float] | None = None,
                       workers: int = 1):
     """Average reject curves at each family's ARI-optimal grid parameter.
 
@@ -338,9 +331,9 @@ def reject_experiment(spec: BlockModelSpec, families, grid, n_graphs: int,
     """
     sources = _samples(spec, n_graphs)
     with _pool(workers) as pool:
-        sweeps = _sweep_sources(sources, families, grid, constants, pool)
+        sweeps = _sweep_sources(sources, families, grid, pool)
         family_params = [(name, best_of_grid(sweeps[name])[0]) for name in families]
-        jobs = [(source, family_params, constants) for source in sources]
+        jobs = [(source, family_params) for source in sources]
         results = _run_jobs(_graph_reject_job, jobs, pool)
     xs = np.linspace(0.0, 1.0, REJECT_GRID_POINTS)
     out = {}

@@ -8,13 +8,11 @@ p to its native parameter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import NegativeDistance, NotFound, ParameterOutOfRange
+from .errors import NegativeDistance, NotFound
 
 # Distances down to this value are float noise and clamp to 0; below it
 # they raise NegativeDistance.
@@ -22,7 +20,7 @@ NEG_TOL = -1e-10
 
 # Scaling rules from normalized p to the native parameter:
 #   spectral: t = p * (1 - eps) / rho(A), the admissible walk interval
-#   ratio:    t = c * p / (1 - p), inverse of t / (t + c)
+#   ratio:    t = p / (1 - p), inverse of t / (t + 1)
 #   identity: the parameter is used as-is (convex combination weight)
 SPECTRAL = "spectral"
 RATIO = "ratio"
@@ -54,26 +52,6 @@ def family(name: str) -> str:
         return FAMILIES[name]
     except KeyError:
         raise NotFound(f"unknown measure family: {name!r}") from None
-
-
-def check_constants(constants) -> dict[str, float]:
-    """Validate the scaling constants c of t = c*p/(1-p), as floats.
-
-    Each key must name a ratio-scaled family and each value must be a finite
-    number > 0; anything else raises :class:`ParameterOutOfRange`.
-    """
-    if not isinstance(constants, dict):
-        raise ParameterOutOfRange("'constants' must map family -> c")
-    bad = [f for f in constants if f not in FAMILIES]
-    if bad:
-        raise ParameterOutOfRange(f"constants for unknown families: {bad}")
-    unscaled = [f for f in constants if FAMILIES[f] != RATIO]
-    if unscaled:
-        raise ParameterOutOfRange(f"constants only scale t = c*p/(1-p) families, not {unscaled}")
-    for name, c in constants.items():
-        if not (isinstance(c, Real) and not isinstance(c, bool) and math.isfinite(c) and c > 0):
-            raise ParameterOutOfRange(f"constant for {name} must be a finite number > 0, got {c!r}")
-    return {str(k): float(v) for k, v in constants.items()}
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,9 +12,9 @@ shortest-path with resistance distances.
 :class:`FamilyEvaluator` caches the per-graph spectral work (eigensystems,
 pseudoinverse, shortest paths) so sweeping a parameter grid only pays for
 the per-parameter recombination.  Its ``matrix(name, p)`` is the one way to
-build a family's matrix: ``raw_parameter`` checks the normalized parameter,
-and the constructor checks the scaling constants, so the constructions
-take a native parameter already in range.
+build a family's matrix: ``raw_parameter`` checks the normalized parameter
+and maps it to the native one, so the constructions take a native
+parameter already in range.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .families import (
     SPECTRAL,
     DistanceMatrix,
     ProximityMatrix,
-    check_constants,
     distance_matrix,
     family,
 )
@@ -93,16 +92,12 @@ class FamilyEvaluator:
     ----------
     g : Graph
         Connected graph to evaluate on.
-    constants : dict, optional
-        Per-family scaling constants c for the t = c*p/(1-p) map; default 1.
-        Each must be a finite number > 0 keyed by such a family.
     """
 
-    def __init__(self, g: Graph, constants: dict[str, float] | None = None):
+    def __init__(self, g: Graph):
         if not is_connected(g):
             raise Disconnected("measure families need a connected graph")
         self.graph = g
-        self.constants = check_constants(constants or {})
         self._fundamental_at = None
         self._kernel_at = None
 
@@ -185,7 +180,7 @@ class FamilyEvaluator:
         if scaling == RATIO:
             if p == 0.0 or p == 1.0:
                 raise ParameterOutOfRange(f"{name}: p on the open interval (0, 1) only")
-            return self.constants.get(name, 1.0) * p / (1.0 - p)
+            return p / (1.0 - p)
         return p
 
     def matrix(self, name: str, p: float) -> ProximityMatrix | DistanceMatrix:
@@ -276,7 +271,6 @@ class FamilyEvaluator:
         return distance_matrix(delta, variant, beta)
 
 
-def family_matrix(g: Graph, name: str, p: float,
-                  constants: dict[str, float] | None = None):
+def family_matrix(g: Graph, name: str, p: float):
     """Evaluate one family at normalized parameter p on a connected graph."""
-    return FamilyEvaluator(g, constants).matrix(name, p)
+    return FamilyEvaluator(g).matrix(name, p)

@@ -79,6 +79,10 @@ def _safe(name: str) -> str:
 
 def run(cfg: ExperimentConfig) -> Path:
     """Execute a configuration and return its output directory."""
+    # every dataset is loaded before anything is written, so an unknown or
+    # missing one stops the run with no output directory
+    graphs = ([load_dataset(name, cfg.data_root) for name in cfg.tasks]
+              if cfg.kind == "datasets" else [])
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     grid = parameter_grid(cfg.grid_size)
@@ -90,7 +94,7 @@ def run(cfg: ExperimentConfig) -> Path:
     elif cfg.kind == "reject":
         _run_reject(cfg, grid, out)
     else:
-        _run_datasets(cfg, grid, out)
+        _run_datasets(cfg, graphs, grid, out)
 
     manifest = {
         "config": config_to_dict(cfg),
@@ -105,8 +109,7 @@ def _run_sweep(cfg, grid, out):
     sweep_rows = []
     best_rows = []
     for spec in cfg.tasks:
-        sweeps = sweep_task(spec, cfg.families, grid, cfg.graphs_per_task,
-                            cfg.constants, cfg.workers)
+        sweeps = sweep_task(spec, cfg.families, grid, cfg.graphs_per_task, cfg.workers)
         sweep_rows.extend(_sweep_rows(spec.name, cfg.families, sweeps))
         for name in cfg.families:
             p, ari = best_of_grid(sweeps[name])
@@ -125,7 +128,7 @@ def _run_sweep(cfg, grid, out):
 
 def _run_tournament(cfg, grid, out):
     result = copeland_tournament(cfg.tasks, cfg.families, cfg.graphs_per_task,
-                                 grid, cfg.statistic, cfg.constants, cfg.workers)
+                                 grid, cfg.statistic, cfg.workers)
     _write_tournament(out / "tournament.csv", result.families, result.tasks, result.scores)
 
 
@@ -134,8 +137,7 @@ def _run_reject(cfg, grid, out):
     best_rows = []
     x_grid = x_text = None  # the curves share one x grid: format it once
     for spec in cfg.tasks:
-        averaged = reject_experiment(spec, cfg.families, grid, cfg.graphs_per_task,
-                                     cfg.constants, cfg.workers)
+        averaged = reject_experiment(spec, cfg.families, grid, cfg.graphs_per_task, cfg.workers)
         curves, slots = [], []
         for slot, name in enumerate(cfg.families):
             p, curve = averaged[name]
@@ -158,12 +160,11 @@ def _run_reject(cfg, grid, out):
     _write_csv(out / "best_params.csv", ("task", "family", "param", "auc"), best_rows)
 
 
-def _run_datasets(cfg, grid, out):
+def _run_datasets(cfg, graphs, grid, out):
     sweep_rows = []
     score_table = np.zeros((len(cfg.families), len(cfg.tasks)), dtype=np.int64)
-    for ti, name in enumerate(cfg.tasks):
-        g = load_dataset(name, cfg.data_root)
-        sweeps = sweep_graphs([g], cfg.families, grid, cfg.constants)
+    for ti, (name, g) in enumerate(zip(cfg.tasks, graphs)):
+        sweeps = sweep_graphs([g], cfg.families, grid)
         sweep_rows.extend(_sweep_rows(name, cfg.families, sweeps))
         stats = family_statistics(sweeps, cfg.families, cfg.statistic)
         score_table[:, ti] = copeland_scores(stats)

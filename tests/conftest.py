@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from kernelbench import build_graph, generate, uniform_spec
+from kernelbench.errors import NumericalOverflow
+from kernelbench.measures import FamilyEvaluator
 
 
 @pytest.fixture
@@ -35,6 +37,20 @@ def c4():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240501)
+
+
+@pytest.fixture
+def comm_fails(monkeypatch):
+    """Comm raises NumericalOverflow on every cell.  The patch holds in this
+    process only, so a protocol run under it must be serial."""
+    real = FamilyEvaluator.matrix
+
+    def matrix(evaluator, name, p):
+        if name == "Comm":
+            raise NumericalOverflow("Comm made to fail")
+        return real(evaluator, name, p)
+
+    monkeypatch.setattr(FamilyEvaluator, "matrix", matrix)
 
 
 def random_connected_graph(rng, n, p=0.4, weighted=False, classes=None):

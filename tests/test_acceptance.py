@@ -79,7 +79,7 @@ def test_a7_rsp_low_temperature_limit_holds():
     g10 = generate(uniform_spec(10, 2, 0.6, 0.3, seed=DEFAULT_SEED + 40), 0)
     for g in (p3, g10):
         sp = shortest_path_matrix(g).matrix
-        delta = FamilyEvaluator(g, {"RSP": 20.0}).matrix("RSP", 0.5).matrix  # beta = 20
+        delta = FamilyEvaluator(g)._rsp_fe(20.0, "RSP").matrix  # beta = 20, as A7 takes it
         assert np.abs(delta - sp).max() <= 1e-2
 
 
@@ -87,7 +87,7 @@ def test_a7_fe_matches_entropy_corrected_limit():
     # what FE actually converges to: SP - ln(N)/beta, with N the
     # reference-walk probability mass of the shortest walks (1/2 on P3)
     p3 = build_graph(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]]))
-    delta = FamilyEvaluator(p3, {"FE": 20.0}).matrix("FE", 0.5).matrix  # beta = 20
+    delta = FamilyEvaluator(p3)._rsp_fe(20.0, "FE").matrix  # beta = 20, as A7 takes it
     assert delta[0, 2] == pytest.approx(2.0 + math.log(2.0) / 20.0, abs=1e-6)
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kernelbench import cli
+from kernelbench import cli, runner
 from kernelbench.cli import main
 from kernelbench.config import apply_overrides, config_from_dict, config_to_dict, load_config
 from kernelbench.errors import ConfigInvalid
@@ -89,27 +89,31 @@ class TestConfig:
         ({"Warp": 2.0}, "unknown families"),
     ])
     def test_bad_constants_rejected(self, constants, match):
-        with pytest.raises(ConfigInvalid, match=match):
+        # ratio families take t = p/(1-p): a 'constants' key of any value is
+        # an unknown key, not a value check the old rule ('match') made
+        with pytest.raises(ConfigInvalid, match=r"unknown config keys: \['constants'\]") as info:
             config_from_dict({"kind": "sweep", "families": ["Comm"], "constants": constants,
                               "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5, "p_out": 0.1}]})
-
-    def test_constants_accepted(self):
-        cfg = config_from_dict({"kind": "sweep", "families": ["Comm"],
-                                "constants": {"Comm": 2, "RSP": 1e9},
-                                "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5, "p_out": 0.1}]})
-        assert cfg.constants == {"Comm": 2.0, "RSP": 1e9}
+        assert match not in str(info.value)
 
     @pytest.mark.parametrize("text", ["1e9", "1.0e9"])
     def test_unsigned_exponent_is_a_number(self, tmp_path, text):
-        # YAML 1.1 wants a signed exponent; the loader reads YAML 1.2 floats
+        # YAML 1.1 wants a signed exponent; the loader reads YAML 1.2 floats,
+        # so 1e9 fails the probability range check, not the number check
         path = _write_cfg(tmp_path, MINI_SWEEP.format(out=tmp_path / "r")
-                          + f"constants: {{Comm: {text}}}\n")
-        assert load_config(path).constants == {"Comm": 1e9}
+                          .replace("p_in: 0.9", f"p_in: {text}"))
+        with pytest.raises(ConfigInvalid, match=r"edge probabilities must lie in \[0, 1\]"):
+            load_config(path)
+
+    def test_unsigned_negative_exponent_is_a_number(self, tmp_path):
+        path = _write_cfg(tmp_path, MINI_SWEEP.format(out=tmp_path / "r")
+                          .replace("p_out: 0.1", "p_out: 5e-2"))
+        assert load_config(path).tasks[0].probabilities[0, 1] == 0.05
 
     def test_quoted_number_is_still_a_string(self, tmp_path):
         path = _write_cfg(tmp_path, MINI_SWEEP.format(out=tmp_path / "r")
-                          + 'constants: {Comm: "2.0"}\n')
-        with pytest.raises(ConfigInvalid, match="finite number > 0"):
+                          .replace("p_in: 0.9", 'p_in: "0.3"'))
+        with pytest.raises(ConfigInvalid, match="'p_in' must be a real number"):
             load_config(path)
 
     def test_bad_task_shape_rejected(self):
@@ -321,14 +325,14 @@ class TestRunner:
         assert len(list(out.glob("reject_*.svg"))) == 1
         _assert_manifest_round_trips(out, cfg)
 
-    def test_reject_run_keeps_family_that_fails_everywhere(self, tmp_path):
-        # Comm overflows at c = 1e9 on every graph and grid point: its
-        # best_params row keeps its parameter with AUC nan, and it has no
-        # curve; Heat is written as in a run without Comm.
+    def test_reject_run_keeps_family_that_fails_everywhere(self, tmp_path, comm_fails):
+        # Comm fails on every graph and grid point: its best_params row
+        # keeps its parameter with AUC nan, and it has no curve; Heat is
+        # written as in a run without Comm.
         def reject_run(families, name):
             return run(config_from_dict({
-                "kind": "reject", "seed": 3, "grid": 3, "graphs": 2,
-                "families": families, "constants": {"Comm": 1.0e9},
+                "kind": "reject", "seed": 3, "grid": 3, "graphs": 2, "workers": 1,
+                "families": families,
                 "out": str(tmp_path / name),
                 "tasks": [{"nodes": 30, "classes": 2, "p_in": 0.5, "p_out": 0.1}],
             }))
@@ -378,7 +382,36 @@ class TestCliMain:
     def test_run_bad_constant_is_an_error_not_a_traceback(self, tmp_path, capsys):
         text = MINI_SWEEP.format(out=tmp_path / "o") + "constants: {Heat: fast}\n"
         assert main(["run", str(_write_cfg(tmp_path, text))]) == 2
-        assert "constant for Heat" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: unknown config keys: ['constants']\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_dataset_stops_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                  zachary_root):
+        # every dataset loads before the first cell and the output directory
+        evaluated = []
+        monkeypatch.setattr(runner, "sweep_graphs", lambda *a: evaluated.append(a))
+        raw = {"kind": "datasets", "grid": 3, "families": ["Heat", "SP-CT"],
+               "tasks": ["zachary", "nosuch"], "data_root": str(zachary_root),
+               "out": str(tmp_path / "o")}
+        assert main(["run", str(_write_cfg(tmp_path, json.dumps(raw)))]) == 2
+        assert capsys.readouterr().err == "error: unknown dataset 'nosuch'\n"
+        assert not evaluated and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, rows", [
+        ("table1", {"tournament.csv": 1 + 13 * 8 + 13}),
+        ("table2", {"sweep.csv": 1 + 3 * 13 * 2, "best_params.csv": 1 + 3 * 13}),
+        ("fig5", {"best_params.csv": 1 + 13, "reject.csv": 1 + 13 * 1001}),
+    ], ids=["table1", "table2", "fig5"])
+    def test_committed_config_runs(self, tmp_path, name, rows):
+        # a change to the config surface fails here, not in a user's run;
+        # table4's datasets are not in the repository (it is parse-checked)
+        out = tmp_path / name
+        argv = ["run", f"configs/{name}.cfg", "--graphs", "1", "--grid", "2", "--out", str(out)]
+        assert main(argv) == 0
+        for csv_name, count in rows.items():
+            assert len((out / csv_name).read_text().splitlines()) == count
+        assert (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--graphs", "0"), ("--seed", "-3"), ("--workers", "-2"), ("--grid", "0"),

@@ -29,6 +29,17 @@ def separated_graph():
     return generate(uniform_spec(40, 2, 0.9, 0.02, seed=17), 0)
 
 
+# Dense blocks whose adjacency spectral radius is 30.0-30.9 on graphs 0-3:
+# Comm's exp(tA) overflows at p = 0.98 (t = 49) on all four, and at
+# p = 0.9583 only on graphs 0 and 3.
+OVERFLOW_SPEC = uniform_spec(40, 2, 0.95, 0.6, seed=1)
+
+
+@pytest.fixture(scope="module")
+def overflow_graph():
+    return generate(OVERFLOW_SPEC, 0)
+
+
 class TestParameterGrid:
     def test_endpoints_avoided(self):
         grid = parameter_grid(50)
@@ -78,11 +89,10 @@ class TestSweep:
         assert not errors
         assert (ari == 1.0).mean() >= 0.8
 
-    def test_error_cells_marked(self, separated_graph):
-        # an absurd scaling constant drives exp(tA) past the float range
-        ari, errors = sweep(separated_graph, "Comm", parameter_grid(6),
-                            constants={"Comm": 1e8})
-        assert errors
+    def test_error_cells_marked(self, overflow_graph):
+        # exp(tA) leaves the float range at the grid's last point
+        ari, errors = sweep(overflow_graph, "Comm", parameter_grid(6))
+        assert [j for j, _ in errors] == [5]
         marked = {j for j, _ in errors}
         assert all(ari[j] == -1.0 for j in marked)
         assert all(marker == "NumericalOverflow" for _, marker in errors)
@@ -119,30 +129,30 @@ class TestSweep:
     def test_graph_list_matches_generated_task(self):
         # one graph path: explicit graphs, serial, equal a pooled task
         # sweep of the same samples bit for bit, error cells included
-        spec = uniform_spec(16, 2, 0.8, 0.1, seed=9)
         grid = parameter_grid(4)
         fams = ("Comm", "logComm", "SP-CT")
-        constants = {"Comm": 1e9}
-        listed = sweep_graphs([generate(spec, i) for i in range(3)], fams, grid, constants)
-        pooled = sweep_task(spec, fams, grid, 3, constants, workers=2)
-        assert listed["Comm"].errors
+        listed = sweep_graphs([generate(OVERFLOW_SPEC, i) for i in range(3)], fams, grid)
+        pooled = sweep_task(OVERFLOW_SPEC, fams, grid, 3, workers=2)
+        assert listed["Comm"].errors == ((0, 3, "NumericalOverflow"), (1, 3, "NumericalOverflow"),
+                                         (2, 3, "NumericalOverflow"))
         for name in fams:
             assert np.array_equal(listed[name].ari, pooled[name].ari)
             assert listed[name].errors == pooled[name].errors
 
     @pytest.mark.parametrize("stack_size", [1, 3])
     def test_stack_size_changes_no_cell(self, monkeypatch, stack_size):
-        # The default budget clusters all 28 cells in one stack.  Comm at
-        # c = 1e9 overflows on every cell, so with stacks of 3 its error
-        # cells fall while a pWalk cell is still waiting to be clustered.
-        g = generate(uniform_spec(30, 3, 0.4, 0.15, seed=3), 0)
-        job = (g, ["pWalk", "Comm", "logFor", "SP-CT"], parameter_grid(7), {"Comm": 1e9})
+        # The default budget clusters all 28 cells in one stack.  Comm
+        # overflows at the last grid point only, so with stacks of 3 its
+        # error cell falls while a pWalk cell is still waiting to be
+        # clustered, after eight full stacks.
+        g = generate(OVERFLOW_SPEC, 0)
+        job = (g, ["pWalk", "Comm", "logFor", "SP-CT"], parameter_grid(7))
         table, errors = evaluation._graph_cells(job)
         monkeypatch.setattr(evaluation, "STACK_ENTRIES", stack_size * g.n ** 2)
         chunked, chunked_errors = evaluation._graph_cells(job)
         assert np.array_equal(chunked, table)
         assert chunked_errors == errors
-        assert {marker for _, _, marker in errors} == {"NumericalOverflow"}
+        assert errors == [(1, 6, "NumericalOverflow")]
         assert len(set(table[2])) > 1
 
 
@@ -179,9 +189,8 @@ class TestCopeland:
             copeland_tournament([uniform_spec(10, 2, 0.9, 0.1, seed=1)], ("Heat",),
                                 1, parameter_grid(2), Statistic("max"))
 
-    def test_error_cells_feed_minus_one(self, separated_graph):
-        sweeps = sweep_graphs([separated_graph], ("Comm", "Heat"), parameter_grid(4),
-                              constants={"Comm": 1e9})
+    def test_error_cells_feed_minus_one(self, overflow_graph):
+        sweeps = sweep_graphs([overflow_graph], ("Comm", "Heat"), parameter_grid(4))
         stats = family_statistics(sweeps, ("Comm", "Heat"), Statistic("percentile", 0.0))
         assert stats[0, 0] == -1.0
 
@@ -314,17 +323,15 @@ class TestRejectExperiment:
             assert 0.0 < p < 1.0
             assert curve.auc > 0.9
 
-    # Comm at c = 4500 overflows on graphs 1 and 2 at every grid point, and
-    # on graphs 0 and 3 above p = 0.02, so its reject average drops two
-    # graphs; logFor's constant differs from For's.
-    SPEC = uniform_spec(20, 2, 0.6, 0.1, seed=6)
+    # Comm overflows on every graph at p = 0.98 and on graphs 0 and 3 at
+    # p = 0.9583, so its best parameter is 0.9583 and its reject average
+    # drops two graphs.
     FAMILIES = ("pWalk", "Walk", "For", "logFor", "Comm", "logHeat", "SP-CT")
-    CONSTANTS = {"Comm": 4500.0, "logFor": 3.0}
+    GRID = np.array([0.9583, 0.98])
 
     def test_worker_pool_matches_serial(self):
-        grid = parameter_grid(3)
-        serial = reject_experiment(self.SPEC, self.FAMILIES, grid, 4, self.CONSTANTS, workers=1)
-        pooled = reject_experiment(self.SPEC, self.FAMILIES, grid, 4, self.CONSTANTS, workers=2)
+        serial = reject_experiment(OVERFLOW_SPEC, self.FAMILIES, self.GRID, 4, workers=1)
+        pooled = reject_experiment(OVERFLOW_SPEC, self.FAMILIES, self.GRID, 4, workers=2)
         for name in self.FAMILIES:
             (p, curve), (q, other) = serial[name], pooled[name]
             assert p == q and curve.auc == other.auc
@@ -333,9 +340,9 @@ class TestRejectExperiment:
     def test_reduced_in_job_as_average_reject_curves(self):
         # each graph's curves, averaged by the public function, give the
         # protocol's result bit for bit, graphs that error dropped
-        grid = parameter_grid(3)
-        out = reject_experiment(self.SPEC, self.FAMILIES, grid, 4, self.CONSTANTS)
-        evaluators = [FamilyEvaluator(generate(self.SPEC, i), self.CONSTANTS) for i in range(4)]
+        out = reject_experiment(OVERFLOW_SPEC, self.FAMILIES, self.GRID, 4)
+        assert out["Comm"][0] == 0.9583
+        evaluators = [FamilyEvaluator(generate(OVERFLOW_SPEC, i)) for i in range(4)]
         dropped = {}
         for name in self.FAMILIES:
             p, curve = out[name]
@@ -352,8 +359,9 @@ class TestRejectExperiment:
             assert curve.auc == expected.auc
         assert dropped == dict.fromkeys(self.FAMILIES, 0) | {"Comm": 2}
 
-    def test_family_failing_on_every_graph_has_no_curve(self):
-        out = reject_experiment(self.SPEC, ("Comm", "Heat"), parameter_grid(3), 2, {"Comm": 1e9})
+    def test_family_failing_on_every_graph_has_no_curve(self, comm_fails):
+        out = reject_experiment(uniform_spec(20, 2, 0.6, 0.1, seed=6), ("Comm", "Heat"),
+                                parameter_grid(3), 2, workers=1)
         assert out["Comm"] == (0.02, None)
         assert out["Heat"][1].auc > 0.5
 

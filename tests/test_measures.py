@@ -13,7 +13,6 @@ from kernelbench import (
     log_kernel,
     parameter_grid,
     shortest_path_matrix,
-    sweep,
 )
 from kernelbench.acceptance import neumann_series
 from kernelbench.clustering import _checked_sqdist
@@ -31,7 +30,7 @@ from kernelbench.families import DistanceMatrix, ProximityMatrix
 from kernelbench.measures import FamilyEvaluator, _sigmoid_kernel
 from kernelbench.transforms import clustering_sqdist, proximity_to_distance
 
-# With the default constant c = 1, t = p/(1-p): p = 0.5 gives t = 1 exactly,
+# Ratio families take t = p/(1-p): p = 0.5 gives t = 1 exactly,
 # and p = t/(1+t) gives t up to rounding.
 
 
@@ -193,25 +192,23 @@ class TestLogKernel:
 
     def test_shared_plain_kernel_changes_no_value(self):
         # Walk, logFor and logHeat take the plain kernel of the call just
-        # before them at the same t; logFor's constant differs from For's
-        # in the second evaluator, so there nothing is taken.  Every value
-        # and every error equals a fresh evaluator's.
+        # before them at the same t.  Every value and every error equals a
+        # fresh evaluator's.
         g = _weighted_block_model(109)
-        for constants in ({}, {"logFor": 3.0}):
-            shared = FamilyEvaluator(g, constants)
-            for p in parameter_grid(12):
-                for plain, log in (("pWalk", "Walk"), ("For", "logFor"), ("Heat", "logHeat")):
-                    kernel = shared.matrix(plain, float(p)).matrix
-                    assert not kernel.flags.writeable
-                    fresh = FamilyEvaluator(g, constants).matrix(plain, float(p)).matrix
-                    assert np.array_equal(kernel, fresh)
-                    try:
-                        expected = FamilyEvaluator(g, constants).matrix(log, float(p)).matrix
-                    except NonPositiveEntry:
-                        with pytest.raises(NonPositiveEntry):
-                            shared.matrix(log, float(p))
-                    else:
-                        assert np.array_equal(shared.matrix(log, float(p)).matrix, expected)
+        shared = FamilyEvaluator(g)
+        for p in parameter_grid(12):
+            for plain, log in (("pWalk", "Walk"), ("For", "logFor"), ("Heat", "logHeat")):
+                kernel = shared.matrix(plain, float(p)).matrix
+                assert not kernel.flags.writeable
+                fresh = FamilyEvaluator(g).matrix(plain, float(p)).matrix
+                assert np.array_equal(kernel, fresh)
+                try:
+                    expected = FamilyEvaluator(g).matrix(log, float(p)).matrix
+                except NonPositiveEntry:
+                    with pytest.raises(NonPositiveEntry):
+                        shared.matrix(log, float(p))
+                else:
+                    assert np.array_equal(shared.matrix(log, float(p)).matrix, expected)
 
 
 class TestCommuteTime:
@@ -313,8 +310,8 @@ class TestSigmoidKernels:
 
 
 def _rsp_fe(g, beta, variant):
-    # the constant c = beta puts t = c * 0.5 / 0.5 = beta exactly
-    return FamilyEvaluator(g, {variant: beta}).matrix(variant, 0.5).matrix
+    # RSP or FE at inverse temperature beta itself, as criterion A7 takes it
+    return FamilyEvaluator(g)._rsp_fe(beta, variant).matrix
 
 
 class TestRspFe:
@@ -429,9 +426,10 @@ class TestFamilyDispatch:
         assert np.abs(ev.matrix("pWalk", 0.5).matrix - resolvent).max() <= 1e-10
 
     def test_ratio_scaling(self, sbm_graph):
-        ev = FamilyEvaluator(sbm_graph, constants={"Comm": 2.0})
-        assert ev.raw_parameter("Comm", 0.5) == pytest.approx(2.0)
-        assert ev.raw_parameter("Heat", 0.75) == pytest.approx(3.0)
+        # t = p / (1 - p), exact at these p
+        ev = FamilyEvaluator(sbm_graph)
+        assert ev.raw_parameter("Comm", 0.5) == 1.0
+        assert ev.raw_parameter("Heat", 0.75) == 3.0
 
     def test_spct_identity_scaling(self, sbm_graph):
         ev = FamilyEvaluator(sbm_graph)
@@ -464,15 +462,6 @@ class TestFamilyDispatch:
             family_matrix(sbm_graph, "Heat", -0.1)
         with pytest.raises(ParameterOutOfRange):
             family_matrix(sbm_graph, "SP-CT", 1.5)
-
-    @pytest.mark.parametrize("constants", [{"Comm": 0.0}, {"pWalk": 2.0}, {"nosuch": 2.0}])
-    def test_bad_constants_raise(self, sbm_graph, constants):
-        # c = 0 would make For quietly return I; pWalk and unknown names
-        # would be ignored
-        with pytest.raises(KernelBenchError):
-            FamilyEvaluator(sbm_graph, constants)
-        with pytest.raises(KernelBenchError):
-            sweep(sbm_graph, "Comm", parameter_grid(3), constants=constants)
 
     def test_disconnected_graph_rejected(self):
         with pytest.raises(Disconnected):

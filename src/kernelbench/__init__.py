@@ -32,7 +32,7 @@ from .graph import (
     laplacian,
     shortest_path_matrix,
 )
-from .measures import FamilyEvaluator, family_matrix, log_kernel
+from .measures import FamilyEvaluator, log_kernel
 from .evaluation import (
     RejectCurve,
     Statistic,
@@ -43,7 +43,6 @@ from .evaluation import (
     parameter_grid,
     reject_curve,
     reject_experiment,
-    sweep,
     sweep_graphs,
     sweep_task,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import adjusted_rand_index, cut_dendrogram, ward_linkage
+from .clustering import adjusted_rand_index, ward_cuts
 from .datasets import load_dataset
 from .errors import DatasetMissing, KernelBenchError
 from .evaluation import (
@@ -27,7 +27,7 @@ from .evaluation import (
     sweep_graphs,
     sweep_task,
 )
-from .families import FAMILY_NAMES, DistanceMatrix, ProximityMatrix, distance_matrix
+from .families import FAMILY_NAMES, DistanceMatrix, distance_matrix
 from .generators import generate, uniform_spec
 from .graph import build_graph, shortest_path_matrix
 from .measures import FamilyEvaluator
@@ -174,6 +174,17 @@ def taylor_exp(m: np.ndarray, terms: int = 30) -> np.ndarray:
     return out
 
 
+def grounded_resistance(adjacency: np.ndarray) -> np.ndarray:
+    """Effective resistances R_ij = G_ii + G_jj - 2 G_ij of a connected graph,
+    G the inverse of its Laplacian grounded at node 0 (row and column 0 are
+    dropped, then put back as zeros)."""
+    a = np.asarray(adjacency, dtype=np.float64)
+    g = np.zeros(a.shape)
+    g[1:, 1:] = np.linalg.inv((np.diag(a.sum(axis=1)) - a)[1:, 1:])
+    diag = np.diagonal(g)
+    return diag[:, None] + diag[None, :] - 2.0 * g
+
+
 def fe_limit_offset(adjacency: np.ndarray) -> np.ndarray:
     """Low-temperature offset c of the free-energy distance, by hop layers.
 
@@ -294,19 +305,21 @@ def criterion_a5(seed: int, workers: int, data_root=None) -> CriterionResult:
     if worst > 1e-12:
         checks.append(f"ARI oracle mismatch {worst:g}")
 
-    # Ward vs brute-force merge oracle: identical partitions at every k
+    # ward_cuts, the body the cells run, vs brute-force merge oracle: the
+    # same merge costs and identical partitions at every k
     for trial in range(100):
         n = int(rng.integers(3, 9))
         points = rng.normal(size=(n, int(rng.integers(1, 4))))
         sq = ((points[:, None, :] - points[None, :, :]) ** 2).sum(-1)
         costs, partitions = ward_merge_oracle(sq)
-        dendrogram = ward_linkage(sq)
+        merges = np.empty((1, n - 1, 4))
+        ward_cuts(sq[None].copy(), 1, merges)
         scale = max(1.0, float(np.abs(sq).max()))
-        if np.abs(dendrogram.merges[:, 2] - np.asarray(costs)).max() > 1e-9 * scale:
+        if np.abs(merges[0, :, 2] - np.asarray(costs)).max() > 1e-9 * scale:
             checks.append(f"ward merge costs diverge (trial {trial})")
             break
         for k in range(1, n + 1):
-            mine = cut_dendrogram(dendrogram, k).labels
+            mine = ward_cuts(sq[None].copy(), k)[0]
             oracle = _partition_labels(partitions[k], n)
             if adjusted_rand_index(mine, oracle) < 1.0:
                 checks.append(f"ward partition differs at n={n}, k={k}")
@@ -379,9 +392,8 @@ def criterion_a6(seed: int, workers: int, data_root=None) -> CriterionResult:
             if np.abs(ev.matrix(name, p).matrix.sum(axis=1) - 1.0).max() > 1e-8:
                 checks.append(f"{name} row sums differ from 1 at p={p:g}")
 
-    # commute-time duality: induced distance equals effective resistance
-    induced = proximity_to_distance(ProximityMatrix(ev.lap_pinv, "CT")).matrix
-    if np.abs(induced - ev.resistance_matrix).max() > 1e-10:
+    # commute-time duality: the distance L+ induces is the effective resistance
+    if np.abs(ev.resistance_matrix - grounded_resistance(g.adjacency)).max() > 1e-10:
         checks.append("CT-induced distance != resistance distance")
 
     # cutpoint additivity of the logFor-induced distance on a path
@@ -429,22 +441,24 @@ def criterion_a7(seed: int, workers: int, data_root=None) -> CriterionResult:
 
     At beta = 20, RSP must be within 1e-2 of SP.  FE converges at rate
     1/beta, FE - SP -> c/beta with c >= 0 from :func:`fe_limit_offset`, so
-    FE at beta = 20 must be within 1e-2 of SP + c/beta.
+    FE at beta = 20 must be within 1e-2 of SP + c/beta.  Both are taken as
+    the cells take them, at the normalized p = 20/21 (beta = p / (1 - p)).
     """
-    beta = 20.0
+    p_low = 20.0 / 21.0
     checks: list[str] = []
     gaps: list[str] = []
     graphs = [_p3(), generate(uniform_spec(10, 2, 0.6, 0.3, seed=seed + 40), 0)]
     for tag, g in zip(("P3", "n10"), graphs):
         ev = FamilyEvaluator(g)
+        beta = ev.raw_parameter("FE", p_low)
         sp = shortest_path_matrix(g).matrix
         offset = fe_limit_offset(g.adjacency)
         if offset.min() < -1e-12:
             checks.append(f"FE limit offset {offset.min():.2e} is negative on {tag}")
-        rsp_gap = np.abs(ev._rsp_fe(beta, "RSP").matrix - sp).max()
+        rsp_gap = np.abs(ev.matrix("RSP", p_low).matrix - sp).max()
         if rsp_gap > 1e-2:
             checks.append(f"RSP at beta={beta:g} off by {rsp_gap:.2e} on {tag}")
-        fe = ev._rsp_fe(beta, "FE").matrix
+        fe = ev.matrix("FE", p_low).matrix
         fe_gap = np.abs(fe - sp).max()
         residual = np.abs(fe - (sp + offset / beta)).max()
         if residual > 1e-2:
@@ -454,9 +468,9 @@ def criterion_a7(seed: int, workers: int, data_root=None) -> CriterionResult:
                     f"FE-(SP+c/beta) {residual:.1e}")
         for variant in ("RSP", "FE"):
             for p in parameter_grid(50):
-                grid_beta = ev.raw_parameter(variant, float(p))
-                delta = ev._rsp_fe(grid_beta, variant).matrix
+                delta = ev.matrix(variant, float(p)).matrix
                 if (delta - sp).min() < -1e-8:
+                    grid_beta = ev.raw_parameter(variant, float(p))
                     checks.append(f"{variant} below shortest path at beta={grid_beta:.3g} on {tag}")
                     break
     ok = not checks

@@ -195,16 +195,6 @@ def _sweep_sources(sources, families, grid, pool) -> dict[str, SweepResult]:
     }
 
 
-def sweep(g: Graph, family_name: str, grid):
-    """ARI per grid parameter for one family on one labeled graph.
-
-    Returns (ari_vector, errors); error cells hold -1.0 and a marker of the
-    raising error type.
-    """
-    result = _sweep_sources([g], [family_name], grid, None)[family_name]
-    return result.ari[0], [(j, marker) for _, j, marker in result.errors]
-
-
 def sweep_task(spec: BlockModelSpec, families, grid, n_graphs: int,
                workers: int = 1) -> dict[str, SweepResult]:
     """Sweep every family over ``n_graphs`` samples of one block model task."""

@@ -41,6 +41,7 @@ from .families import (
 )
 from .graph import Graph, edge_cost_matrix, is_connected, laplacian, shortest_path_matrix
 from .spectral import SymmetricEigen, pinv_from_eigen, solve_linear, spectral_apply, sym_eigen
+from .transforms import proximity_to_distance
 
 # Walk kernels stay this fraction inside the open interval (0, 1/rho).
 WALK_MARGIN = 1e-4
@@ -153,11 +154,8 @@ class FamilyEvaluator:
 
     @cached_property
     def resistance_matrix(self) -> np.ndarray:
-        lp = self.lap_pinv
-        diag = np.diagonal(lp)
-        r = diag[:, None] + diag[None, :] - 2.0 * lp
-        np.fill_diagonal(r, 0.0)
-        return np.clip((r + r.T) / 2.0, 0.0, None)
+        # effective resistance: the distance the commute-time kernel L+ induces
+        return proximity_to_distance(ProximityMatrix(self.lap_pinv, "CT")).matrix
 
     @cached_property
     def edge_costs(self) -> np.ndarray:
@@ -269,8 +267,3 @@ class FamilyEvaluator:
             delta = (phi + phi.T) / 2.0
         np.fill_diagonal(delta, 0.0)
         return distance_matrix(delta, variant, beta)
-
-
-def family_matrix(g: Graph, name: str, p: float):
-    """Evaluate one family at normalized parameter p on a connected graph."""
-    return FamilyEvaluator(g).matrix(name, p)

@@ -15,7 +15,6 @@ from kernelbench.evaluation import (
     parameter_grid,
     reject_curve,
     reject_experiment,
-    sweep,
     sweep_graphs,
     sweep_task,
 )
@@ -85,20 +84,20 @@ class TestStatistic:
 
 class TestSweep:
     def test_separated_blocks_ari_one_across_grid(self, separated_graph):
-        ari, errors = sweep(separated_graph, "SP-CT", parameter_grid(10))
-        assert not errors
-        assert (ari == 1.0).mean() >= 0.8
+        result = sweep_graphs([separated_graph], ["SP-CT"], parameter_grid(10))["SP-CT"]
+        assert not result.errors
+        assert (result.ari[0] == 1.0).mean() >= 0.8
 
     def test_error_cells_marked(self, overflow_graph):
         # exp(tA) leaves the float range at the grid's last point
-        ari, errors = sweep(overflow_graph, "Comm", parameter_grid(6))
-        assert [j for j, _ in errors] == [5]
-        marked = {j for j, _ in errors}
-        assert all(ari[j] == -1.0 for j in marked)
-        assert all(marker == "NumericalOverflow" for _, marker in errors)
+        result = sweep_graphs([overflow_graph], ["Comm"], parameter_grid(6))["Comm"]
+        assert [j for _, j, _ in result.errors] == [5]
+        marked = {j for _, j, _ in result.errors}
+        assert all(result.ari[0, j] == -1.0 for j in marked)
+        assert all(marker == "NumericalOverflow" for _, _, marker in result.errors)
 
     def test_ari_range_invariant(self, separated_graph):
-        ari, _ = sweep(separated_graph, "logComm", parameter_grid(8))
+        ari = sweep_graphs([separated_graph], ["logComm"], parameter_grid(8))["logComm"].ari
         assert np.all(ari >= -1.0) and np.all(ari <= 1.0)
 
     def test_sweep_task_shape_and_determinism(self):
@@ -375,10 +374,10 @@ class TestNodeOrderInvariance:
             np.ascontiguousarray(g.adjacency[np.ix_(perm, perm)]), g.labels[perm]
         )
         grid = parameter_grid(8)
+        a = sweep_graphs([g], ("logComm", "SP-CT"), grid)
+        b = sweep_graphs([permuted], ("logComm", "SP-CT"), grid)
         for name in ("logComm", "SP-CT"):
-            a, _ = sweep(g, name, grid)
-            b, _ = sweep(permuted, name, grid)
-            assert np.abs(a - b).max() <= 1e-10
+            assert np.abs(a[name].ari - b[name].ari).max() <= 1e-10
         ev_a = FamilyEvaluator(g)
         ev_b = FamilyEvaluator(permuted)
         auc_a = reject_curve(reject_distance(ev_a.matrix("logComm", 0.5)), g.labels).auc

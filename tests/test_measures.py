@@ -8,13 +8,12 @@ from kernelbench import (
     block_model_spec,
     build_graph,
     family,
-    family_matrix,
     generate,
     log_kernel,
     parameter_grid,
     shortest_path_matrix,
 )
-from kernelbench.acceptance import neumann_series
+from kernelbench.acceptance import grounded_resistance, neumann_series
 from kernelbench.clustering import _checked_sqdist
 from kernelbench.errors import (
     DegenerateKernel,
@@ -28,7 +27,7 @@ from kernelbench.errors import (
 )
 from kernelbench.families import DistanceMatrix, ProximityMatrix
 from kernelbench.measures import FamilyEvaluator, _sigmoid_kernel
-from kernelbench.transforms import clustering_sqdist, proximity_to_distance
+from kernelbench.transforms import clustering_sqdist
 
 # Ratio families take t = p/(1-p): p = 0.5 gives t = 1 exactly,
 # and p = t/(1+t) gives t up to rounding.
@@ -222,9 +221,11 @@ class TestCommuteTime:
         assert np.abs(lp @ np.ones(10)).max() <= 1e-8
 
     def test_induced_distance_is_resistance(self, connected_graph_factory):
-        ev = FamilyEvaluator(connected_graph_factory(13))
-        induced = proximity_to_distance(ProximityMatrix(ev.lap_pinv, "CT")).matrix
-        assert np.abs(induced - ev.resistance_matrix).max() <= 1e-10
+        # resistance_matrix is the distance L+ induces; check it against
+        # effective resistances from the Laplacian grounded at node 0
+        g = connected_graph_factory(13)
+        resistance = FamilyEvaluator(g).resistance_matrix
+        assert np.abs(resistance - grounded_resistance(g.adjacency)).max() <= 1e-10
 
     def test_disconnected(self):
         with pytest.raises(Disconnected):
@@ -267,7 +268,7 @@ class TestSPCT:
 
     def test_disconnected(self):
         with pytest.raises(Disconnected):
-            family_matrix(build_graph(np.zeros((2, 2))), "SP-CT", 0.5)
+            FamilyEvaluator(build_graph(np.zeros((2, 2)))).matrix("SP-CT", 0.5)
 
 
 class TestSigmoidKernels:
@@ -310,8 +311,9 @@ class TestSigmoidKernels:
 
 
 def _rsp_fe(g, beta, variant):
-    # RSP or FE at inverse temperature beta itself, as criterion A7 takes it
-    return FamilyEvaluator(g)._rsp_fe(beta, variant).matrix
+    # RSP or FE at inverse temperature beta (up to rounding): the normalized
+    # p = beta / (1 + beta), as criterion A7 takes beta = 20
+    return FamilyEvaluator(g).matrix(variant, beta / (1.0 + beta)).matrix
 
 
 class TestRspFe:
@@ -344,7 +346,7 @@ class TestRspFe:
 
     def test_disconnected(self):
         with pytest.raises(Disconnected):
-            family_matrix(build_graph(np.zeros((2, 2))), "RSP", 0.5)
+            FamilyEvaluator(build_graph(np.zeros((2, 2)))).matrix("RSP", 0.5)
 
     def test_shared_fundamental_matrix_changes_no_value(self):
         # One evaluator solves once per beta for RSP and FE, in either order,
@@ -388,13 +390,13 @@ class TestFamilyDispatch:
     def test_registry_kinds(self, k2):
         # a family's kind is the type of matrix it returns
         for name in FAMILY_NAMES:
-            m = family_matrix(k2, name, 0.5)
+            m = FamilyEvaluator(k2).matrix(name, 0.5)
             assert isinstance(m, DistanceMatrix if name in DISTANCES else ProximityMatrix)
             assert m.family == name
         with pytest.raises(NotFound):
             family("nosuch")
         with pytest.raises(NotFound):
-            family_matrix(k2, "nosuch", 0.5)
+            FamilyEvaluator(k2).matrix("nosuch", 0.5)
 
     def test_every_family_evaluates(self, sbm_graph, connected_graph_factory):
         # exact symmetry and, for distances, an exact zero diagonal: the
@@ -404,7 +406,7 @@ class TestFamilyDispatch:
         for g in (sbm_graph, weighted):
             for name in FAMILY_NAMES:
                 for p in (0.3, 0.5):
-                    m = family_matrix(g, name, p)
+                    m = FamilyEvaluator(g).matrix(name, p)
                     assert isinstance(m, DistanceMatrix if name in DISTANCES else ProximityMatrix)
                     assert np.array_equal(m.matrix, m.matrix.T)
                     if name in DISTANCES:
@@ -434,7 +436,7 @@ class TestFamilyDispatch:
     def test_spct_identity_scaling(self, sbm_graph):
         ev = FamilyEvaluator(sbm_graph)
         direct = (1.0 - 0.34) * ev.sp_matrix + 0.34 * ev.resistance_matrix
-        assert np.array_equal(family_matrix(sbm_graph, "SP-CT", 0.34).matrix, direct)
+        assert np.array_equal(FamilyEvaluator(sbm_graph).matrix("SP-CT", 0.34).matrix, direct)
 
     def test_log_families_are_logs(self, sbm_graph):
         ev = FamilyEvaluator(sbm_graph)
@@ -445,27 +447,27 @@ class TestFamilyDispatch:
     def test_open_interval_endpoints(self, sbm_graph):
         for name in ("For", "Comm", "Heat", "SCT", "SCCT", "RSP", "FE"):
             with pytest.raises(ParameterOutOfRange):
-                family_matrix(sbm_graph, name, 0.0)
+                FamilyEvaluator(sbm_graph).matrix(name, 0.0)
             with pytest.raises(ParameterOutOfRange):
-                family_matrix(sbm_graph, name, 1.0)
+                FamilyEvaluator(sbm_graph).matrix(name, 1.0)
         with pytest.raises(ParameterOutOfRange):
-            family_matrix(sbm_graph, "pWalk", 0.0)
+            FamilyEvaluator(sbm_graph).matrix("pWalk", 0.0)
         # pWalk at p = 1 stays strictly inside (0, 1/rho)
-        assert isinstance(family_matrix(sbm_graph, "pWalk", 1.0), ProximityMatrix)
-        assert isinstance(family_matrix(sbm_graph, "SP-CT", 0.0), DistanceMatrix)
-        assert isinstance(family_matrix(sbm_graph, "SP-CT", 1.0), DistanceMatrix)
+        assert isinstance(FamilyEvaluator(sbm_graph).matrix("pWalk", 1.0), ProximityMatrix)
+        assert isinstance(FamilyEvaluator(sbm_graph).matrix("SP-CT", 0.0), DistanceMatrix)
+        assert isinstance(FamilyEvaluator(sbm_graph).matrix("SP-CT", 1.0), DistanceMatrix)
 
     def test_p_outside_unit_interval(self, sbm_graph):
         with pytest.raises(ParameterOutOfRange):
-            family_matrix(sbm_graph, "Heat", 1.5)
+            FamilyEvaluator(sbm_graph).matrix("Heat", 1.5)
         with pytest.raises(ParameterOutOfRange):
-            family_matrix(sbm_graph, "Heat", -0.1)
+            FamilyEvaluator(sbm_graph).matrix("Heat", -0.1)
         with pytest.raises(ParameterOutOfRange):
-            family_matrix(sbm_graph, "SP-CT", 1.5)
+            FamilyEvaluator(sbm_graph).matrix("SP-CT", 1.5)
 
     def test_disconnected_graph_rejected(self):
         with pytest.raises(Disconnected):
-            family_matrix(build_graph(np.zeros((3, 3))), "Heat", 0.5)
+            FamilyEvaluator(build_graph(np.zeros((3, 3)))).matrix("Heat", 0.5)
 
     def test_plain_kernels_identity_limit(self, sbm_graph):
         ev = FamilyEvaluator(sbm_graph)
@@ -477,5 +479,5 @@ class TestFamilyDispatch:
         ev = FamilyEvaluator(sbm_graph)
         for name in ("logComm", "SCCT", "RSP"):
             a = ev.matrix(name, 0.37).matrix
-            b = family_matrix(sbm_graph, name, 0.37).matrix
+            b = FamilyEvaluator(sbm_graph).matrix(name, 0.37).matrix
             assert np.array_equal(a, b)

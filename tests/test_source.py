@@ -68,3 +68,17 @@ def test_no_unused_private_names(path):
     unused = sorted(f"{name} (line {line})" for name, line in defined.items()
                     if name.startswith("_") and not name.endswith("__") and name not in read)
     assert not unused, f"{path.name} defines private names it never reads: {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_attributes_of_others(path):
+    # x._name is read of self or cls only; any other object is reached
+    # through its public names (dunders such as __name__ are public)
+    tree = ast.parse(path.read_text())
+    foreign = sorted(
+        f"{ast.unparse(node)} (line {node.lineno})" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    )
+    assert not foreign, f"{path.name} reads private attributes of other objects: {foreign}"

@@ -1,13 +1,13 @@
 """Loading labeled benchmark graphs from GML and edge-list files.
 
-Supported formats:
+The format follows the file's suffix:
 
-* GML subset: ``node [ id <int> label "..." value <class> ]`` and
+* ``.gml``, a GML subset: ``node [ id <int> label "..." value <class> ]`` and
   ``edge [ source <int> target <int> weight <float> ]``.  The ``value``
   attribute carries the ground-truth class.
-* Edge list: whitespace-separated integer pairs with an optional third
-  weight column, plus a label sidecar file (same path, ``.labels``
-  extension) holding one class per line in node order.
+* any other suffix, an edge list: whitespace-separated integer pairs
+  with an optional third weight column, plus a label sidecar file (same
+  path, ``.labels`` extension) holding one class per line in node order.
 
 Node ids are remapped to 0..N-1 in declaration order for GML and
 first-appearance order for edge lists.  Data files are not vendored;
@@ -36,20 +36,19 @@ class DatasetDescriptor:
     name: str
     nodes: int
     classes: int
-    filename: str
-    format: str  # "gml" | "edgelist"
+    filename: str  # ".gml" is read as GML, anything else as an edge list
 
 
 _REGISTRY = (
-    DatasetDescriptor("football", 115, 12, "football.gml", "gml"),
-    DatasetDescriptor("polbooks", 105, 3, "polbooks.gml", "gml"),
-    DatasetDescriptor("zachary", 34, 2, "zachary.gml", "gml"),
-    DatasetDescriptor("news_2cl_1", 400, 2, "news_2cl_1.edges", "edgelist"),
-    DatasetDescriptor("news_2cl_2", 400, 2, "news_2cl_2.edges", "edgelist"),
-    DatasetDescriptor("news_2cl_3", 400, 2, "news_2cl_3.edges", "edgelist"),
-    DatasetDescriptor("news_3cl_1", 600, 3, "news_3cl_1.edges", "edgelist"),
-    DatasetDescriptor("news_3cl_2", 600, 3, "news_3cl_2.edges", "edgelist"),
-    DatasetDescriptor("news_3cl_3", 600, 3, "news_3cl_3.edges", "edgelist"),
+    DatasetDescriptor("football", 115, 12, "football.gml"),
+    DatasetDescriptor("polbooks", 105, 3, "polbooks.gml"),
+    DatasetDescriptor("zachary", 34, 2, "zachary.gml"),
+    DatasetDescriptor("news_2cl_1", 400, 2, "news_2cl_1.edges"),
+    DatasetDescriptor("news_2cl_2", 400, 2, "news_2cl_2.edges"),
+    DatasetDescriptor("news_2cl_3", 400, 2, "news_2cl_3.edges"),
+    DatasetDescriptor("news_3cl_1", 600, 3, "news_3cl_1.edges"),
+    DatasetDescriptor("news_3cl_2", 600, 3, "news_3cl_2.edges"),
+    DatasetDescriptor("news_3cl_3", 600, 3, "news_3cl_3.edges"),
 )
 
 
@@ -230,22 +229,16 @@ def _load_edgelist(path: Path) -> Graph:
 
 # -- public api ----------------------------------------------------------------
 
-def load_graph(path: str | Path, format: str | None = None) -> Graph:
-    """Load a labeled graph from a GML or edge-list (+ sidecar) file.
+def load_graph(path: str | Path) -> Graph:
+    """Load a labeled graph from a GML file (``.gml``) or an edge-list file
+    (any other suffix) with its label sidecar.
 
     The graph must be connected; the benchmark protocols assume it.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetMissing(f"no such file: {path}")
-    if format is None:
-        format = "gml" if path.suffix.lower() == ".gml" else "edgelist"
-    if format == "gml":
-        g = _load_gml(path)
-    elif format == "edgelist":
-        g = _load_edgelist(path)
-    else:
-        raise ParseError(f"unknown format {format!r} (use 'gml' or 'edgelist')")
+    g = _load_gml(path) if path.suffix.lower() == ".gml" else _load_edgelist(path)
     if not is_connected(g):
         raise Disconnected(f"{path.name}: graph is not connected")
     return g
@@ -259,7 +252,7 @@ def load_dataset(name: str, root: str | Path | None = None) -> Graph:
         raise DatasetMissing(
             f"dataset {desc.name!r} missing: {path} (run scripts/fetch_datasets.py)"
         )
-    g = load_graph(path, desc.format)
+    g = load_graph(path)
     if g.n != desc.nodes:
         raise ParseError(f"{desc.name}: {g.n} nodes, descriptor expects {desc.nodes}")
     if g.num_classes != desc.classes:

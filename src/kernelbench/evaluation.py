@@ -37,8 +37,9 @@ GRID_MARGIN = 0.02
 # clustered together in stacks of max(1, STACK_ENTRIES // n**2).
 STACK_ENTRIES = 1 << 19
 
-# Reject curves are averaged on this many evenly spaced x in [0, 1].
-REJECT_GRID_POINTS = 1001
+# Reject curves are averaged on these evenly spaced x in [0, 1].
+REJECT_XS = np.linspace(0.0, 1.0, 1001)
+REJECT_XS.setflags(write=False)
 
 
 def parameter_grid(size: int) -> np.ndarray:
@@ -166,10 +167,12 @@ def _graph_cells(args):
     return table, errors
 
 
-def _pool(workers: int):
-    """A process pool of ``workers`` processes, or None (run serially) for
-    fewer than 2; one protocol call runs all of its stages on it."""
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+def _pool(workers: int, jobs: int):
+    """A process pool of ``min(workers, jobs)`` processes, ``jobs`` being the
+    graphs per stage, or None (run serially) for fewer than 2; one protocol
+    call runs all of its stages on it."""
+    size = min(workers, jobs)
+    return ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()
 
 
 def _run_jobs(fn, jobs, pool):
@@ -198,7 +201,7 @@ def _sweep_sources(sources, families, grid, pool) -> dict[str, SweepResult]:
 def sweep_task(spec: BlockModelSpec, families, grid, n_graphs: int,
                workers: int = 1) -> dict[str, SweepResult]:
     """Sweep every family over ``n_graphs`` samples of one block model task."""
-    with _pool(workers) as pool:
+    with _pool(workers, n_graphs) as pool:
         return _sweep_sources(_samples(spec, n_graphs), families, grid, pool)
 
 
@@ -238,7 +241,7 @@ def copeland_tournament(tasks, families, graphs_per_task: int, grid,
     if len(families) < 2:
         raise ParameterOutOfRange("a tournament needs at least 2 families")
     scores = np.zeros((len(families), len(tasks)), dtype=np.int64)
-    with _pool(workers) as pool:
+    with _pool(workers, graphs_per_task) as pool:
         for ti, spec in enumerate(tasks):
             sweeps = _sweep_sources(_samples(spec, graphs_per_task), families, grid, pool)
             stats = family_statistics(sweeps, families, statistic)
@@ -276,21 +279,22 @@ def reject_curve(dist: DistanceMatrix | np.ndarray, labels) -> RejectCurve:
     return RejectCurve(x, y, auc)
 
 
-def _curve_on_grid(curve: RejectCurve, xs: np.ndarray) -> np.ndarray:
-    """The curve's y at each x of ``xs``; a vertical segment reads its top."""
+def _curve_on_grid(curve: RejectCurve) -> np.ndarray:
+    """The curve's y at each x of ``REJECT_XS``; a vertical segment reads its top."""
     cx, cy = curve.x, curve.y
     keep = np.ones(cx.shape[0], dtype=bool)
     keep[:-1] = cx[1:] != cx[:-1]
-    return np.interp(xs, cx[keep], cy[keep])
+    return np.interp(REJECT_XS, cx[keep], cy[keep])
 
 
-def _mean_curve(ys: list, xs: np.ndarray) -> RejectCurve:
-    """The vertical average of curves sampled on ``xs``, summed in list order."""
-    total = np.zeros_like(xs)
+def _mean_curve(ys: list) -> RejectCurve:
+    """The vertical average of curves sampled on ``REJECT_XS``, summed in
+    list order."""
+    total = np.zeros_like(REJECT_XS)
     for y in ys:
         total += y
     total /= len(ys)
-    return RejectCurve(xs, total, float(np.trapezoid(total, xs)))
+    return RejectCurve(REJECT_XS, total, float(np.trapezoid(total, REJECT_XS)))
 
 
 def _graph_reject_job(args):
@@ -299,12 +303,11 @@ def _graph_reject_job(args):
     source, family_params = args
     g = _source_graph(source)
     evaluator = FamilyEvaluator(g)
-    xs = np.linspace(0.0, 1.0, REJECT_GRID_POINTS)
     curves = []
     for name, p in family_params:
         try:
             dist = reject_distance(evaluator.matrix(name, p))
-            curves.append(_curve_on_grid(reject_curve(dist, g.labels), xs))
+            curves.append(_curve_on_grid(reject_curve(dist, g.labels)))
         except KernelBenchError:
             curves.append(None)
     return curves
@@ -320,23 +323,21 @@ def reject_experiment(spec: BlockModelSpec, families, grid, n_graphs: int,
     gets None in place of its curve.
     """
     sources = _samples(spec, n_graphs)
-    with _pool(workers) as pool:
+    with _pool(workers, n_graphs) as pool:
         sweeps = _sweep_sources(sources, families, grid, pool)
         family_params = [(name, best_of_grid(sweeps[name])[0]) for name in families]
         jobs = [(source, family_params) for source in sources]
         results = _run_jobs(_graph_reject_job, jobs, pool)
-    xs = np.linspace(0.0, 1.0, REJECT_GRID_POINTS)
     out = {}
     for fi, (name, p) in enumerate(family_params):
         kept = [curves[fi] for curves in results if curves[fi] is not None]
-        out[name] = (p, _mean_curve(kept, xs) if kept else None)
+        out[name] = (p, _mean_curve(kept) if kept else None)
     return out
 
 
-def average_reject_curves(curves, grid_points: int = REJECT_GRID_POINTS) -> RejectCurve:
-    """Vertical average of reject curves on a fixed x grid."""
+def average_reject_curves(curves) -> RejectCurve:
+    """Vertical average of reject curves on ``REJECT_XS``."""
     curves = list(curves)
     if not curves:
         raise DegenerateLabels("cannot average zero reject curves")
-    xs = np.linspace(0.0, 1.0, grid_points)
-    return _mean_curve([_curve_on_grid(curve, xs) for curve in curves], xs)
+    return _mean_curve([_curve_on_grid(curve) for curve in curves])

@@ -43,14 +43,6 @@ class BlockModelSpec:
     seed: int
     name: str = ""
 
-    @property
-    def n(self) -> int:
-        return int(sum(self.sizes))
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.sizes)
-
     def labels(self) -> np.ndarray:
         return np.repeat(np.arange(len(self.sizes)), self.sizes)
 
@@ -64,10 +56,11 @@ def block_model_spec(sizes, probabilities, seed: int, name: str = "") -> BlockMo
     m = len(sizes)
     if p.shape != (m, m):
         raise ConfigInvalid(f"probability matrix must be {m}x{m}, got {p.shape}")
+    # before the symmetry check, so that a NaN is reported as out of range
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ConfigInvalid("edge probabilities must lie in [0, 1]")
     if not np.allclose(p, p.T, rtol=0.0, atol=0.0):
         raise ConfigInvalid("probability matrix must be symmetric")
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise ConfigInvalid("edge probabilities must lie in [0, 1]")
     seed = int(seed)
     if seed < 0 or seed > _M64:
         raise ConfigInvalid("seed must be an unsigned 64-bit integer")

@@ -32,9 +32,8 @@ def _format_points(point: str, sep: str, xs: np.ndarray, ys: np.ndarray) -> str:
     return sep.join([point] * xs.shape[0]) % tuple(flat)
 
 
-def write_curves_svg(path: str | Path, curves, title: str = "",
-                     xlabel: str = "", ylabel: str = "",
-                     y_range=(0.0, 1.0), slots=None) -> Path:
+def write_curves_svg(path: str | Path, curves, title: str, xlabel: str,
+                     ylabel: str, y_range=(0.0, 1.0), slots=None) -> Path:
     """Write labeled polyline curves to ``path``.
 
     ``curves`` is a sequence of (label, x_array, y_array) with x in [0, 1].
@@ -56,12 +55,9 @@ def write_curves_svg(path: str | Path, curves, title: str = "",
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
-    if title:
-        lines.append(
-            f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
     # axes box and ticks
     lines.append(
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
@@ -87,17 +83,15 @@ def write_curves_svg(path: str | Path, curves, title: str = "",
             f'<text x="{MARGIN_L - 9}" y="{py + 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_fmt(yv)}</text>'
         )
-    if xlabel:
-        lines.append(
-            f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{xlabel}</text>'
-        )
-    if ylabel:
-        lines.append(
-            f'<text x="18" y="{MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.0f})">{ylabel}</text>'
-        )
+    lines.append(
+        f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 10}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+    )
+    lines.append(
+        f'<text x="18" y="{MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.0f})">{ylabel}</text>'
+    )
 
     if slots is None:
         slots = range(len(curves))

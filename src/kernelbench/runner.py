@@ -21,6 +21,7 @@ from . import __version__
 from .config import ExperimentConfig, config_to_dict
 from .datasets import load_dataset
 from .evaluation import (
+    REJECT_XS,
     SweepResult,
     best_of_grid,
     copeland_scores,
@@ -135,7 +136,7 @@ def _run_tournament(cfg, grid, out):
 def _run_reject(cfg, grid, out):
     reject_rows = []
     best_rows = []
-    x_grid = x_text = None  # the curves share one x grid: format it once
+    x_text = [_fnum(x) for x in REJECT_XS.tolist()]
     for spec in cfg.tasks:
         averaged = reject_experiment(spec, cfg.families, grid, cfg.graphs_per_task, cfg.workers)
         curves, slots = [], []
@@ -148,8 +149,6 @@ def _run_reject(cfg, grid, out):
                 continue
             curves.append((name, curve.x, curve.y))
             slots.append(slot)
-            if x_grid is None or not np.array_equal(curve.x, x_grid):
-                x_grid, x_text = curve.x, [_fnum(x) for x in curve.x.tolist()]
             reject_rows.extend(zip(repeat(name), x_text, map(_fnum, curve.y.tolist())))
         write_curves_svg(
             out / f"reject_{_safe(spec.name)}.svg", curves,

@@ -116,6 +116,15 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="'p_in' must be a real number"):
             load_config(path)
 
+    @pytest.mark.parametrize("task", [
+        {"nodes": 10, "classes": 2, "p_in": float("nan"), "p_out": 0.1},
+        {"sizes": [3, 4], "probabilities": [[0.9, float("nan")], [float("nan"), 0.9]]},
+    ], ids=["uniform", "general"])
+    def test_nan_probability_is_out_of_range(self, task):
+        # NaN also fails the symmetry check, whose message would mislead
+        with pytest.raises(ConfigInvalid, match=r"edge probabilities must lie in \[0, 1\]"):
+            config_from_dict({"kind": "sweep", "families": ["Heat"], "tasks": [task]})
+
     def test_bad_task_shape_rejected(self):
         with pytest.raises(ConfigInvalid, match="task #0"):
             config_from_dict({"kind": "sweep", "families": ["Heat"],

@@ -160,6 +160,10 @@ class TestRegistry:
         assert len(names) == 9
         assert names[:3] == ["football", "polbooks", "zachary"]
 
+    def test_filenames_name_their_format(self):
+        # load_graph reads .gml as GML and any other suffix as an edge list
+        assert all(d.filename.endswith((".gml", ".edges")) for d in registry())
+
     def test_expected_counts(self):
         assert (dataset_descriptor("zachary").nodes,
                 dataset_descriptor("zachary").classes) == (34, 2)

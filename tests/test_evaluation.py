@@ -284,9 +284,9 @@ class TestRejectCurve:
 class TestAverageCurves:
     def test_single_curve_reproduced_on_grid(self):
         curve = RejectCurve(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.8, 1.0]), 0.0)
-        avg = average_reject_curves([curve], grid_points=11)
-        assert avg.y[5] == pytest.approx(0.8)
-        assert avg.x.shape == (11,)
+        avg = average_reject_curves([curve])
+        assert avg.y[500] == pytest.approx(0.8)
+        assert avg.x.shape == (1001,)
 
     def test_identical_copies_average_to_same(self):
         curve = RejectCurve(np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.6, 1.0]), 0.0)
@@ -305,8 +305,8 @@ class TestAverageCurves:
     def test_vertical_jump_takes_upper_envelope(self):
         curve = RejectCurve(np.array([0.0, 0.5, 0.5, 1.0]),
                             np.array([0.0, 0.2, 0.9, 1.0]), 0.0)
-        avg = average_reject_curves([curve], grid_points=3)
-        assert avg.y[1] == pytest.approx(0.9)
+        avg = average_reject_curves([curve])
+        assert avg.y[500] == pytest.approx(0.9)
 
     def test_empty_raises(self):
         with pytest.raises(DegenerateLabels):
@@ -363,6 +363,46 @@ class TestRejectExperiment:
                                 parameter_grid(3), 2, workers=1)
         assert out["Comm"] == (0.02, None)
         assert out["Heat"][1].auc > 0.5
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces the process pool with an in-process map; returns the size of
+    each pool opened."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+class TestPoolSize:
+    SPEC = uniform_spec(16, 2, 0.8, 0.1, seed=6)
+
+    def test_reject_pool_has_a_process_per_graph(self, pool_sizes):
+        reject_experiment(self.SPEC, ("Heat",), parameter_grid(2), 2, workers=8)
+        assert pool_sizes == [2]
+
+    def test_one_graph_sweep_opens_no_pool(self, pool_sizes):
+        sweep_task(self.SPEC, ("Heat",), parameter_grid(2), 1, workers=2)
+        assert pool_sizes == []
+
+    def test_tournament_pool_sized_by_graphs_per_task(self, pool_sizes):
+        copeland_tournament([self.SPEC, self.SPEC], ("Heat", "SP-CT"), 3,
+                            parameter_grid(2), Statistic("max"), workers=8)
+        assert pool_sizes == [3]
 
 
 class TestNodeOrderInvariance:

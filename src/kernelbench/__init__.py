@@ -37,9 +37,7 @@ from .evaluation import (
     RejectCurve,
     Statistic,
     SweepResult,
-    TournamentResult,
     average_reject_curves,
-    copeland_tournament,
     parameter_grid,
     reject_curve,
     reject_experiment,

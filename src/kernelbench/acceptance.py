@@ -21,7 +21,7 @@ from .evaluation import (
     Statistic,
     best_of_grid,
     copeland_scores,
-    copeland_tournament,
+    family_statistics,
     parameter_grid,
     reject_curve,
     sweep_graphs,
@@ -260,14 +260,16 @@ def criterion_a3(seed: int, workers: int, data_root=None) -> CriterionResult:
         uniform_spec(100, 2, 0.3, 0.1, seed=seed + 20),
         uniform_spec(100, 2, 0.3, 0.15, seed=seed + 21),
     ]
-    result = copeland_tournament(tasks, FAMILY_NAMES, 20, parameter_grid(50),
-                                 Statistic("max"), workers=workers)
-    order = np.argsort(-result.totals, kind="stable")
-    ranked = [result.families[i] for i in order]
-    ok = set(ranked[:2]) == {"logComm", "SCCT"} and ranked[-1] == "For"
-    details = "totals: " + ", ".join(
-        f"{result.families[i]}={int(result.totals[i])}" for i in order
+    grid = parameter_grid(50)
+    totals = sum(
+        copeland_scores(family_statistics(sweep_task(spec, FAMILY_NAMES, grid, 20, workers=workers),
+                                          FAMILY_NAMES, Statistic("max")))
+        for spec in tasks
     )
+    order = np.argsort(-totals, kind="stable")
+    ranked = [FAMILY_NAMES[i] for i in order]
+    ok = set(ranked[:2]) == {"logComm", "SCCT"} and ranked[-1] == "For"
+    details = "totals: " + ", ".join(f"{FAMILY_NAMES[i]}={int(totals[i])}" for i in order)
     return CriterionResult("A3", ok, details)
 
 
@@ -422,14 +424,15 @@ def criterion_a6(seed: int, workers: int, data_root=None) -> CriterionResult:
             checks.append("Copeland scores not zero-sum")
             break
 
-    # identical outputs for any worker count
-    tasks = [uniform_spec(30, 2, 0.5, 0.15, seed=seed + 32)]
+    # identical sweeps for any worker count: every ARI and error cell
+    spec = uniform_spec(30, 2, 0.5, 0.15, seed=seed + 32)
     fams = ("logComm", "SCCT", "For", "SP-CT", "RSP")
     grid = parameter_grid(6)
-    serial = copeland_tournament(tasks, fams, 4, grid, Statistic("max"), workers=1)
-    pooled = copeland_tournament(tasks, fams, 4, grid, Statistic("max"), workers=2)
-    if not np.array_equal(serial.scores, pooled.scores):
-        checks.append("tournament differs across worker counts")
+    serial = sweep_task(spec, fams, grid, 4, workers=1)
+    pooled = sweep_task(spec, fams, grid, 4, workers=2)
+    if any(not np.array_equal(serial[name].ari, pooled[name].ari)
+           or serial[name].errors != pooled[name].errors for name in fams):
+        checks.append("sweep differs across worker counts")
 
     ok = not checks
     return CriterionResult("A6", ok, "; ".join(checks) if checks else "all invariants hold")

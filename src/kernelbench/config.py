@@ -120,6 +120,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     bad = [f for f in families if f not in FAMILIES]
     _require(not bad, f"unknown families: {bad}")
     _require(len(set(families)) == len(families), "duplicate family names")
+    _require(kind in ("sweep", "reject") or len(families) >= 2,
+             f"kind {kind!r} ranks families against each other and needs at least 2")
 
     seed = _count("seed", raw.get("seed", 1))
     grid_size = _count("grid", raw.get("grid", 55 if kind == "datasets" else 50))

@@ -93,14 +93,6 @@ class SweepResult:
 
 
 @dataclass(frozen=True, eq=False)
-class TournamentResult:
-    families: tuple[str, ...]
-    tasks: tuple[str, ...]
-    scores: np.ndarray  # (n_families, n_tasks) integer Copeland scores
-    totals: np.ndarray  # (n_families,)
-
-
-@dataclass(frozen=True, eq=False)
 class RejectCurve:
     """Cumulative inter-class share (x) vs intra-class share (y), plus AUC."""
 
@@ -232,23 +224,6 @@ def family_statistics(sweeps: dict[str, SweepResult], families,
                       statistic: Statistic) -> np.ndarray:
     """(n_graphs, n_families) per-graph grid statistics."""
     return np.stack([statistic.of(sweeps[name].ari) for name in families], axis=1)
-
-
-def copeland_tournament(tasks, families, graphs_per_task: int, grid,
-                        statistic: Statistic, workers: int = 1) -> TournamentResult:
-    """Run the pairwise-comparison tournament over block model tasks."""
-    families = tuple(families)
-    if len(families) < 2:
-        raise ParameterOutOfRange("a tournament needs at least 2 families")
-    scores = np.zeros((len(families), len(tasks)), dtype=np.int64)
-    with _pool(workers, graphs_per_task) as pool:
-        for ti, spec in enumerate(tasks):
-            sweeps = _sweep_sources(_samples(spec, graphs_per_task), families, grid, pool)
-            stats = family_statistics(sweeps, families, statistic)
-            scores[:, ti] = copeland_scores(stats)
-    return TournamentResult(
-        families, tuple(spec.name for spec in tasks), scores, scores.sum(axis=1)
-    )
 
 
 def reject_curve(dist: DistanceMatrix | np.ndarray, labels) -> RejectCurve:

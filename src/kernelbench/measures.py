@@ -240,7 +240,6 @@ class FamilyEvaluator:
         a = self.graph.adjacency
         n = a.shape[0]
         w = a / self.degrees[:, None] * np.exp(-beta * self.edge_costs)
-        w[a == 0.0] = 0.0
         z = solve_linear(np.eye(n) - w, np.eye(n))
         low = z.min() if z.size else 1.0
         if low <= 0.0:

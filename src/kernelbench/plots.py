@@ -25,6 +25,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
+def _text(s: str) -> str:
+    """``s`` as XML text: ``&``, ``<`` and ``>`` escaped (``xml.sax.saxutils``
+    would import ``urllib.request``, about 7 MB, into every run)."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _format_points(point: str, sep: str, xs: np.ndarray, ys: np.ndarray) -> str:
     """``point % (x, y)`` for each point, joined by ``sep``: one format call
     over Python floats, which format faster than numpy scalars."""
@@ -56,7 +62,7 @@ def write_curves_svg(path: str | Path, curves, title: str, xlabel: str,
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">{_text(title)}</text>',
     ]
     # axes box and ticks
     lines.append(
@@ -85,12 +91,12 @@ def write_curves_svg(path: str | Path, curves, title: str, xlabel: str,
         )
     lines.append(
         f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+        f'font-family="sans-serif" font-size="13">{_text(xlabel)}</text>'
     )
     lines.append(
         f'<text x="18" y="{MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.0f})">{ylabel}</text>'
+        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.0f})">{_text(ylabel)}</text>'
     )
 
     if slots is None:
@@ -113,7 +119,7 @@ def write_curves_svg(path: str | Path, curves, title: str, xlabel: str,
         )
         lines.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
+            f'font-size="12">{_text(label)}</text>'
         )
 
     lines.append("</svg>")

@@ -20,12 +20,12 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, config_to_dict
 from .datasets import load_dataset
+from .errors import ConfigInvalid
 from .evaluation import (
     REJECT_XS,
     SweepResult,
     best_of_grid,
     copeland_scores,
-    copeland_tournament,
     family_statistics,
     parameter_grid,
     reject_experiment,
@@ -78,8 +78,19 @@ def _safe(name: str) -> str:
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
 
 
+def _task_names(cfg: ExperimentConfig) -> list[str]:
+    return list(cfg.tasks) if cfg.kind == "datasets" else [spec.name for spec in cfg.tasks]
+
+
 def run(cfg: ExperimentConfig) -> Path:
     """Execute a configuration and return its output directory."""
+    # tasks name their rows and plot files, so two that write the same name
+    # stop the run before its output directory exists
+    names = _task_names(cfg)
+    safe = [_safe(name) for name in names]
+    clash = sorted({name for name, s in zip(names, safe) if safe.count(s) > 1})
+    if clash:
+        raise ConfigInvalid(f"tasks {clash} share a name in the run's files")
     # every dataset is loaded before anything is written, so an unknown or
     # missing one stops the run with no output directory
     graphs = ([load_dataset(name, cfg.data_root) for name in cfg.tasks]
@@ -90,12 +101,10 @@ def run(cfg: ExperimentConfig) -> Path:
 
     if cfg.kind == "sweep":
         _run_sweep(cfg, grid, out)
-    elif cfg.kind == "tournament":
-        _run_tournament(cfg, grid, out)
     elif cfg.kind == "reject":
         _run_reject(cfg, grid, out)
     else:
-        _run_datasets(cfg, graphs, grid, out)
+        _run_tournament(cfg, graphs, grid, out)
 
     manifest = {
         "config": config_to_dict(cfg),
@@ -127,12 +136,6 @@ def _run_sweep(cfg, grid, out):
     _write_csv(out / "best_params.csv", ("task", "family", "param", "ari"), best_rows)
 
 
-def _run_tournament(cfg, grid, out):
-    result = copeland_tournament(cfg.tasks, cfg.families, cfg.graphs_per_task,
-                                 grid, cfg.statistic, cfg.workers)
-    _write_tournament(out / "tournament.csv", result.families, result.tasks, result.scores)
-
-
 def _run_reject(cfg, grid, out):
     reject_rows = []
     best_rows = []
@@ -159,14 +162,20 @@ def _run_reject(cfg, grid, out):
     _write_csv(out / "best_params.csv", ("task", "family", "param", "auc"), best_rows)
 
 
-def _run_datasets(cfg, graphs, grid, out):
+def _run_tournament(cfg, graphs, grid, out):
+    """Copeland scores per task: each task's sweeps reduced to one statistic
+    per graph and family.  A generated task samples ``graphs_per_task``
+    graphs; a dataset is its one graph, and its sweep rows are kept too."""
     sweep_rows = []
-    score_table = np.zeros((len(cfg.families), len(cfg.tasks)), dtype=np.int64)
-    for ti, (name, g) in enumerate(zip(cfg.tasks, graphs)):
-        sweeps = sweep_graphs([g], cfg.families, grid)
-        sweep_rows.extend(_sweep_rows(name, cfg.families, sweeps))
-        stats = family_statistics(sweeps, cfg.families, cfg.statistic)
-        score_table[:, ti] = copeland_scores(stats)
-    _write_tournament(out / "tournament.csv", cfg.families, cfg.tasks, score_table)
-    _write_csv(out / "sweep.csv",
-               ("task", "family", "param", "graph_index", "ari", "error"), sweep_rows)
+    scores = np.zeros((len(cfg.families), len(cfg.tasks)), dtype=np.int64)
+    for ti, task in enumerate(cfg.tasks):
+        if cfg.kind == "datasets":
+            sweeps = sweep_graphs([graphs[ti]], cfg.families, grid)
+            sweep_rows.extend(_sweep_rows(task, cfg.families, sweeps))
+        else:
+            sweeps = sweep_task(task, cfg.families, grid, cfg.graphs_per_task, cfg.workers)
+        scores[:, ti] = copeland_scores(family_statistics(sweeps, cfg.families, cfg.statistic))
+    _write_tournament(out / "tournament.csv", cfg.families, _task_names(cfg), scores)
+    if cfg.kind == "datasets":
+        _write_csv(out / "sweep.csv",
+                   ("task", "family", "param", "graph_index", "ari", "error"), sweep_rows)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -144,11 +146,12 @@ class TestConfig:
     def test_dataset_kind_rejects_graphs(self):
         # a datasets run evaluates each dataset's one graph
         with pytest.raises(ConfigInvalid, match="'graphs' does not apply"):
-            config_from_dict({"kind": "datasets", "families": ["Heat"], "graphs": 1,
+            config_from_dict({"kind": "datasets", "families": ["Heat", "For"], "graphs": 1,
                               "tasks": ["zachary"]})
 
     def test_dataset_kind_rejects_graphs_override(self):
-        cfg = config_from_dict({"kind": "datasets", "families": ["Heat"], "tasks": ["zachary"]})
+        cfg = config_from_dict({"kind": "datasets", "families": ["Heat", "For"],
+                                "tasks": ["zachary"]})
         with pytest.raises(ConfigInvalid, match="'graphs' does not apply"):
             apply_overrides(cfg, graphs=3)
         assert apply_overrides(cfg, workers=2).workers == 2
@@ -250,6 +253,14 @@ class TestConfig:
                                 "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5, "p_out": 0.1}]})
         with pytest.raises(ConfigInvalid, match="'seed' must be an integer"):
             apply_overrides(cfg, seed=True)
+
+    def test_readme_config_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg = load_config(_write_cfg(tmp_path, block))
+        assert cfg.kind == "tournament"
+        assert [t.name for t in cfg.tasks] == [
+            "G(100,(2)0.3,0.1)", "unequal(10,90)", "b3x4", "sixclass150"]
 
     def test_committed_configs_parse(self):
         for name in ("table1", "table2", "fig5", "table4"):
@@ -376,6 +387,34 @@ class TestRunner:
         rows = (out / "sweep.csv").read_text().splitlines()
         # header + 3 families x 6 grid points x 1 graph
         assert len(rows) == 1 + 18
+
+    def test_svg_text_is_escaped(self, tmp_path):
+        out = run(config_from_dict({
+            "kind": "sweep", "grid": 2, "graphs": 1, "families": ["Heat"],
+            "out": str(tmp_path / "s"),
+            "tasks": [{"sizes": [5, 5], "probabilities": [[0.9, 0.1], [0.1, 0.9]],
+                       "name": "a&b<c"}],
+        }))
+        svg = minidom.parse(str(out / "sweep_a_b_c.svg"))
+        title = svg.getElementsByTagName("text")[0].firstChild.data
+        assert title == "mean ARI vs parameter: a&b<c"
+
+    @pytest.mark.parametrize("kind", ["sweep", "tournament", "reject", "datasets"])
+    def test_task_name_clash_stops_before_the_run(self, tmp_path, kind):
+        # 'x/y' and 'x_y' write one sweep_x_y.svg; two like uniform tasks
+        # share their name and rows
+        def named(name):
+            return {"sizes": [5, 5], "probabilities": [[0.9, 0.1], [0.1, 0.9]], "name": name}
+
+        uniform = {"nodes": 10, "classes": 2, "p_in": 0.9, "p_out": 0.1}
+        clashes = ([["zachary", "zachary"]] if kind == "datasets"
+                   else [[named("x/y"), named("x_y")], [uniform, uniform]])
+        for tasks in clashes:
+            cfg = config_from_dict({"kind": kind, "families": ["Heat", "SP-CT"], "grid": 2,
+                                    "out": str(tmp_path / "o"), "tasks": tasks})
+            with pytest.raises(ConfigInvalid, match="share a name"):
+                run(cfg)
+            assert not (tmp_path / "o").exists()
 
 
 class TestCliMain:

@@ -3,14 +3,14 @@ import pytest
 
 from kernelbench import evaluation, generate, uniform_spec
 from kernelbench.acceptance import auc_mannwhitney_oracle
-from kernelbench.errors import DegenerateLabels, KernelBenchError, ParameterOutOfRange
+from kernelbench.config import config_from_dict
+from kernelbench.errors import ConfigInvalid, DegenerateLabels, KernelBenchError, ParameterOutOfRange
 from kernelbench.evaluation import (
     RejectCurve,
     Statistic,
     average_reject_curves,
     best_of_grid,
     copeland_scores,
-    copeland_tournament,
     family_statistics,
     parameter_grid,
     reject_curve,
@@ -20,6 +20,7 @@ from kernelbench.evaluation import (
 )
 from kernelbench.graph import Graph
 from kernelbench.measures import FamilyEvaluator
+from kernelbench.runner import run
 from kernelbench.transforms import reject_distance
 
 
@@ -175,18 +176,19 @@ class TestCopeland:
         assert np.abs(scores).max() <= graphs * (fams - 1)
 
     def test_tournament_and_percentile_100_equals_max(self):
-        tasks = [uniform_spec(16, 2, 0.8, 0.1, seed=13)]
         fams = ("Heat", "logHeat", "SP-CT")
-        grid = parameter_grid(4)
-        by_max = copeland_tournament(tasks, fams, 3, grid, Statistic("max"))
-        by_p100 = copeland_tournament(tasks, fams, 3, grid, Statistic("percentile", 100.0))
-        assert np.array_equal(by_max.scores, by_p100.scores)
-        assert by_max.totals.sum() == 0
+        sweeps = sweep_task(uniform_spec(16, 2, 0.8, 0.1, seed=13), fams, parameter_grid(4), 3)
+        by_max = copeland_scores(family_statistics(sweeps, fams, Statistic("max")))
+        by_p100 = copeland_scores(family_statistics(sweeps, fams, Statistic("percentile", 100.0)))
+        assert np.array_equal(by_max, by_p100)
+        assert by_max.sum() == 0
 
     def test_needs_two_families(self):
-        with pytest.raises(ParameterOutOfRange):
-            copeland_tournament([uniform_spec(10, 2, 0.9, 0.1, seed=1)], ("Heat",),
-                                1, parameter_grid(2), Statistic("max"))
+        # both Copeland kinds are refused when parsed, before any run starts
+        task = {"nodes": 10, "classes": 2, "p_in": 0.9, "p_out": 0.1}
+        for kind, tasks in (("tournament", [task]), ("datasets", ["zachary"])):
+            with pytest.raises(ConfigInvalid, match="at least 2"):
+                config_from_dict({"kind": kind, "families": ["Heat"], "tasks": tasks})
 
     def test_error_cells_feed_minus_one(self, overflow_graph):
         sweeps = sweep_graphs([overflow_graph], ("Comm", "Heat"), parameter_grid(4))
@@ -399,10 +401,14 @@ class TestPoolSize:
         sweep_task(self.SPEC, ("Heat",), parameter_grid(2), 1, workers=2)
         assert pool_sizes == []
 
-    def test_tournament_pool_sized_by_graphs_per_task(self, pool_sizes):
-        copeland_tournament([self.SPEC, self.SPEC], ("Heat", "SP-CT"), 3,
-                            parameter_grid(2), Statistic("max"), workers=8)
-        assert pool_sizes == [3]
+    def test_tournament_pool_sized_by_graphs_per_task(self, pool_sizes, tmp_path):
+        # a tournament opens one pool per task, as sweep_task does
+        task = {"nodes": 16, "classes": 2, "p_in": 0.8, "p_out": 0.1}
+        run(config_from_dict({
+            "kind": "tournament", "families": ["Heat", "SP-CT"], "grid": 2, "graphs": 3,
+            "workers": 8, "out": str(tmp_path / "t"), "tasks": [task, {**task, "p_out": 0.2}],
+        }))
+        assert pool_sizes == [3, 3]
 
 
 class TestNodeOrderInvariance:

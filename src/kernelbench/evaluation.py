@@ -11,14 +11,16 @@ percentile), then award +1/-1 per pairwise win/loss.  Reject curves compare
 inter-class vs intra-class distances directly, independent of clustering.
 
 One per-graph job evaluates every (family, parameter) cell of a graph; the
-jobs are embarrassingly parallel, and results are aggregated in a fixed
-sort order so outputs are identical for any worker count.
+jobs are embarrassingly parallel, every cell runs on one BLAS thread, and
+results are aggregated in a fixed sort order, so outputs are identical for
+any worker count.
 """
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,12 +161,48 @@ def _graph_cells(args):
     return table, errors
 
 
+def _openblas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count; get returns None
+    and set does nothing when no OpenBLAS is loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = {line.split()[-1] for line in maps if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        libs = set()
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            if hasattr(handle, symbol.format("get")):
+                get = getattr(handle, symbol.format("get"))
+                get.restype = ctypes.c_int
+                return get, getattr(handle, symbol.format("set"))
+    return (lambda: None), (lambda count: None)
+
+
+@contextmanager
 def _pool(workers: int, jobs: int):
     """A process pool of ``min(workers, jobs)`` processes, ``jobs`` being the
     graphs per stage, or None (run serially) for fewer than 2; one protocol
-    call runs all of its stages on it."""
+    call runs all of its stages on it.
+
+    While it is open the loaded OpenBLAS runs one thread, serial or pooled,
+    and the old count comes back when it closes.  The thread count moves
+    the last bits of products, solves and eigensystems, so one count keeps
+    the bytes the same for any worker count; workers forked from this
+    process also start with one thread instead of oversubscribing the CPUs.
+    """
     size = min(workers, jobs)
-    return ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()
+    get, set_threads = _openblas_threads()
+    threads = get()
+    set_threads(1)
+    try:
+        if size < 2:
+            yield None
+        else:
+            with ProcessPoolExecutor(max_workers=size) as pool:
+                yield pool
+    finally:
+        set_threads(threads)
 
 
 def _run_jobs(fn, jobs, pool):
@@ -198,8 +236,9 @@ def sweep_task(spec: BlockModelSpec, families, grid, n_graphs: int,
 
 
 def sweep_graphs(graphs, families, grid) -> dict[str, SweepResult]:
-    """Sweep every family over an explicit list of labeled graphs."""
-    return _sweep_sources(graphs, families, grid, None)
+    """Sweep every family over an explicit list of labeled graphs, serially."""
+    with _pool(1, 1) as pool:
+        return _sweep_sources(graphs, families, grid, pool)
 
 
 def best_of_grid(result: SweepResult) -> tuple[float, float]:

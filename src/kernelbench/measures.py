@@ -99,8 +99,7 @@ class FamilyEvaluator:
         if not is_connected(g):
             raise Disconnected("measure families need a connected graph")
         self.graph = g
-        self._fundamental_at = None
-        self._kernel_at = None
+        self._kept = None
 
     # -- cached per-graph state ------------------------------------------
 
@@ -184,14 +183,12 @@ class FamilyEvaluator:
     def matrix(self, name: str, p: float) -> ProximityMatrix | DistanceMatrix:
         """Evaluate family ``name`` at normalized parameter ``p``.
 
-        A plain spectral kernel comes back read-only: the evaluator keeps
-        the last one until the next call, which reuses it for the kernel's
-        log family at the same native parameter.
+        A plain spectral kernel comes back read-only and kept (``_keep``)
+        for its log family at the same native parameter.
         """
         t = self.raw_parameter(name, p)
         plain = _LOG_OF.get(name, name)
         if plain in _KERNELS:
-            kept, self._kernel_at = self._kernel_at, None
             source, f = _KERNELS[plain]
             eigen = getattr(self, source)
             x = t * eigen.values
@@ -202,14 +199,11 @@ class FamilyEvaluator:
                 # ln exp(tA) in a shifted domain so large t cannot overflow:
                 # exp(tA) = e^top * Q exp(t Lambda - top) Q^T, top = t lambda_max
                 kernel = ProximityMatrix(spectral_apply(eigen, f(x - top)), plain, t)
-            elif kept is not None and kept.family == plain and kept.parameter == t:
-                kernel = kept
             else:
                 # cells run parameter-major, so a log family's cell often
                 # follows its plain kernel's at the same t
-                kernel = ProximityMatrix(spectral_apply(eigen, f(x)), plain, t)
-                kernel.matrix.flags.writeable = False
-                self._kernel_at = kernel
+                kernel = self._keep((plain, t), lambda: ProximityMatrix(
+                    spectral_apply(eigen, f(x)), plain, t))
             if name == plain:
                 return kernel
             logged = log_kernel(kernel)
@@ -227,34 +221,39 @@ class FamilyEvaluator:
             return distance_matrix(blend, "SP-CT", p)
         raise AssertionError(f"unhandled family {name}")  # pragma: no cover
 
-    def _fundamental(self, beta: float, variant: str) -> tuple[np.ndarray, np.ndarray]:
-        """The reference walk's weights W at ``beta`` and Z = (I - W)^-1.
+    def _keep(self, key, build):
+        """The value kept under ``key``, else ``build()``'s, made read-only.
 
-        A pair that passed the solve's residual check and the positivity
-        check is kept until the next call, which takes it if its beta is the
-        same: RSP and FE at one beta solve once, and no Z outlives its use.
+        One value is kept until the next call, which takes it if its key is
+        the same: a plain kernel and its log family at one t, or RSP and FE
+        at one beta, build it once, and no kept value outlives its use.
         """
-        kept, self._fundamental_at = self._fundamental_at, None
-        if kept is not None and kept[0] == beta:
-            return kept[1:]
-        a = self.graph.adjacency
-        n = a.shape[0]
-        w = a / self.degrees[:, None] * np.exp(-beta * self.edge_costs)
-        z = solve_linear(np.eye(n) - w, np.eye(n))
+        kept, self._kept = self._kept, None
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        value = build()
+        for array in value if isinstance(value, tuple) else (value.matrix,):
+            array.flags.writeable = False
+        self._kept = (key, value)
+        return value
+
+    def _fundamental(self, beta: float, variant: str) -> tuple[np.ndarray, np.ndarray]:
+        """The reference walk's weights W at ``beta`` and Z = (I - W)^-1."""
+        w = self.graph.adjacency / self.degrees[:, None] * np.exp(-beta * self.edge_costs)
+        eye = np.eye(w.shape[0])
+        z = solve_linear(eye - w, eye)
         low = z.min() if z.size else 1.0
         if low <= 0.0:
             raise NonPositiveEntry(
                 f"{variant}: fundamental matrix entry {low:g} is not positive "
                 "(beta too small or too large for this graph)"
             )
-        w.flags.writeable = z.flags.writeable = False
-        self._fundamental_at = (beta, w, z)
         return w, z
 
     def _rsp_fe(self, beta: float, variant: str) -> DistanceMatrix:
         if np.any(self.degrees <= 0.0):
             raise ZeroDegree(f"{variant} needs all degrees positive")
-        w, z = self._fundamental(beta, variant)
+        w, z = self._keep(beta, lambda: self._fundamental(beta, variant))
         costs = self.edge_costs
         if variant == "RSP":
             s = (z @ (costs * w) @ z) / z

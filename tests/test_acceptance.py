@@ -10,6 +10,7 @@ has the analysis.  Monte-Carlo criteria (A1-A3) take a few minutes in total.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from kernelbench.measures import FamilyEvaluator
 
 
 def _run(name, **kwargs):
-    result = CRITERIA[name](seed=DEFAULT_SEED, workers=1, **kwargs)
+    result = CRITERIA[name](seed=DEFAULT_SEED, workers=min(2, os.cpu_count() or 1), **kwargs)
     print(f"[{result.status}] {result.name}: {result.details}")
     return result
 

@@ -411,6 +411,30 @@ class TestPoolSize:
         assert pool_sizes == [3, 3]
 
 
+def _openblas_threads_in_job(_):
+    return evaluation._openblas_threads()[0]()
+
+
+class TestPoolBlasThreads:
+    def test_cells_run_on_one_openblas_thread(self):
+        # the parent runs two threads; serial and pooled cells run one, and
+        # the parent has its two back once the call is done
+        get, set_threads = evaluation._openblas_threads()
+        before = get()
+        if before is None:
+            pytest.skip("no OpenBLAS is loaded")
+        set_threads(2)
+        try:
+            with evaluation._pool(2, 2) as pool:
+                assert list(pool.map(_openblas_threads_in_job, range(4))) == [1] * 4
+            assert get() == 2
+            with evaluation._pool(2, 1) as pool:
+                assert pool is None and get() == 1
+            assert get() == 2
+        finally:
+            set_threads(before)
+
+
 class TestNodeOrderInvariance:
     def test_sweep_and_curve_invariant_under_permutation(self, rng):
         spec = uniform_spec(30, 2, 0.8, 0.05, seed=31)

@@ -10,8 +10,10 @@ from kernelbench import (
     family,
     generate,
     log_kernel,
+    measures,
     parameter_grid,
     shortest_path_matrix,
+    uniform_spec,
 )
 from kernelbench.acceptance import grounded_resistance, neumann_series
 from kernelbench.clustering import _checked_sqdist
@@ -25,6 +27,7 @@ from kernelbench.errors import (
     ParameterOutOfRange,
     ZeroDegree,
 )
+from kernelbench.evaluation import _graph_cells
 from kernelbench.families import DistanceMatrix, ProximityMatrix
 from kernelbench.measures import FamilyEvaluator, _sigmoid_kernel
 from kernelbench.transforms import clustering_sqdist
@@ -368,6 +371,41 @@ class TestRspFe:
                 else:
                     assert np.array_equal(shared.matrix(name, float(p)).matrix, expected)
         assert failed == {"RSP": [54], "FE": [54]}
+
+
+class TestKeptResult:
+    # One evaluator keeps one result until its next kept result: a plain
+    # kernel for its log family at the same t, or W and Z for RSP and FE at
+    # the same beta.  Counted on G(200,(4)0.3,0.1) at a 4-point grid, where
+    # Comm overflows at one point and SCCT's base costs one solve.
+    SPEC = uniform_spec(200, 4, 0.3, 0.1, seed=20240501)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(("spectral_apply", "solve_linear"), 0)
+        for name in counts:
+            def counted(*args, name=name, original=getattr(measures, name)):
+                counts[name] += 1
+                return original(*args)
+            monkeypatch.setattr(measures, name, counted)
+        return counts
+
+    def test_parameter_major_cells_reuse(self, calls):
+        # _graph_cells' order: every family at one parameter, then the next
+        _graph_cells((generate(self.SPEC, 0), FAMILY_NAMES, parameter_grid(4)))
+        assert calls == {"spectral_apply": 19, "solve_linear": 5}
+
+    def test_family_major_cells_reuse_nothing(self, calls):
+        # the benchmark's replay order: every parameter of one family, then
+        # the next family, so no kept result is ever asked for again
+        ev = FamilyEvaluator(generate(self.SPEC, 0))
+        for name in FAMILY_NAMES:
+            for p in parameter_grid(4):
+                try:
+                    ev.matrix(name, float(p))
+                except KernelBenchError:
+                    pass
+        assert calls == {"spectral_apply": 31, "solve_linear": 9}
 
 
 def _weighted_block_model(seed):

@@ -82,3 +82,24 @@ def test_no_private_attributes_of_others(path):
         and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
     )
     assert not foreign, f"{path.name} reads private attributes of other objects: {foreign}"
+
+
+def _pool_calls(tree):
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "ProcessPoolExecutor" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_process_pools_open_only_in_evaluation_pool():
+    # evaluation._pool starts each pool's workers with one OpenBLAS thread,
+    # so no other code may build a ProcessPoolExecutor
+    outside = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        lines = set(_pool_calls(tree))
+        if path.name == "evaluation.py":
+            pool = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "_pool")
+            assert _pool_calls(pool), "evaluation._pool builds no ProcessPoolExecutor"
+            lines -= set(_pool_calls(pool))
+        outside += [f"{path.name} (line {line})" for line in sorted(lines)]
+    assert not outside, f"ProcessPoolExecutor is called outside evaluation._pool: {outside}"

@@ -1,9 +1,9 @@
 """Declarative experiment configurations.
 
 Config files are YAML-syntax key/value documents (committed examples live
-in ``configs/``).  Every key is validated before any computation starts and
-unknown keys are rejected.  ``config_from_dict`` is the one parser: the CLI
-overrides and the run manifest, written by ``config_to_dict``, go through it.
+in ``configs/``).  Every key is checked before any computation starts, and
+a key its kind does not read is refused.  ``config_from_dict`` is the one
+parser; CLI overrides and the manifest (``config_to_dict``) go through it.
 """
 
 from __future__ import annotations
@@ -20,12 +20,15 @@ from .evaluation import Statistic
 from .families import FAMILIES
 from .generators import BlockModelSpec, block_model_spec, six_class_spec, two_class_unequal_spec, uniform_spec
 
-KINDS = ("sweep", "tournament", "reject", "datasets")
-
-_TOP_KEYS = {
-    "kind", "families", "tasks", "grid", "graphs", "statistic", "seed",
-    "workers", "out", "data_root",
+# The keys each kind reads; a config field its kind does not read keeps its default.
+_GENERATED = ("kind", "families", "tasks", "grid", "graphs", "seed", "workers", "out")
+KIND_KEYS = {
+    "sweep": _GENERATED,
+    "tournament": _GENERATED + ("statistic",),
+    "reject": _GENERATED,
+    "datasets": ("kind", "families", "tasks", "grid", "statistic", "out", "data_root"),
 }
+KINDS = tuple(KIND_KEYS)
 _UNIFORM_TASK_KEYS = {"nodes", "classes", "p_in", "p_out"}
 _UNEQUAL_TASK_KEYS = {"nodes", "n1", "p_in", "p_out"}
 _GENERAL_TASK_KEYS = {"sizes", "probabilities"}  # and an optional "name"
@@ -107,11 +110,14 @@ def _task_spec(entry, index: int, seed: int) -> BlockModelSpec:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(isinstance(raw, dict), "config root must be a mapping")
-    unknown = set(raw) - _TOP_KEYS
+    unknown = set(raw).difference(*KIND_KEYS.values())
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     _require("kind" in raw, "config needs a 'kind'")
     kind = str(raw["kind"])
     _require(kind in KINDS, f"kind must be one of {KINDS}, got {kind!r}")
+    ignored = sorted(set(raw).difference(KIND_KEYS[kind]))
+    if ignored:
+        raise ConfigInvalid(f"'{ignored[0]}' does not apply to kind '{kind}'")
 
     families = raw.get("families", ())
     _require(isinstance(families, (list, tuple)) and len(families) > 0,
@@ -125,9 +131,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     seed = _count("seed", raw.get("seed", 1))
     grid_size = _count("grid", raw.get("grid", 55 if kind == "datasets" else 50))
-    # a datasets run evaluates each dataset's one graph
-    _require(kind != "datasets" or "graphs" not in raw,
-             "'graphs' does not apply to kind 'datasets' (one graph per dataset)")
     graphs = _count("graphs", raw.get("graphs", 1 if kind == "datasets" else 50))
 
     try:
@@ -193,24 +196,16 @@ def _task_entry(spec: BlockModelSpec, index: int, seed: int) -> dict:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """The config as file keys, for the run manifest: ``config_from_dict``
-    parses it back to the same config (no 'graphs' for datasets)."""
-    generated = cfg.kind != "datasets"
-    out = {
-        "kind": cfg.kind,
-        "families": list(cfg.families),
-        "tasks": ([_task_entry(spec, i, cfg.seed) for i, spec in enumerate(cfg.tasks)]
-                  if generated else list(cfg.tasks)),
-        "grid": cfg.grid_size,
-        "statistic": str(cfg.statistic),
-        "seed": cfg.seed,
-        "workers": cfg.workers,
-        "out": cfg.out,
-        "data_root": cfg.data_root,
+    """The keys its kind reads, for the run manifest: ``config_from_dict``
+    parses them back to the same config."""
+    values = {
+        "kind": cfg.kind, "families": list(cfg.families), "grid": cfg.grid_size,
+        "graphs": cfg.graphs_per_task, "statistic": str(cfg.statistic), "seed": cfg.seed,
+        "workers": cfg.workers, "out": cfg.out, "data_root": cfg.data_root,
+        "tasks": (list(cfg.tasks) if cfg.kind == "datasets"
+                  else [_task_entry(spec, i, cfg.seed) for i, spec in enumerate(cfg.tasks)]),
     }
-    if generated:
-        out["graphs"] = cfg.graphs_per_task
-    return out
+    return {key: values[key] for key in KIND_KEYS[cfg.kind]}
 
 
 def apply_overrides(cfg: ExperimentConfig, seed=None, workers=None, out=None,

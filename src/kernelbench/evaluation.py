@@ -349,9 +349,8 @@ def reject_experiment(spec: BlockModelSpec, families, grid, n_graphs: int,
     return out
 
 
-def average_reject_curves(curves) -> RejectCurve:
-    """Vertical average of reject curves on ``REJECT_XS``."""
-    curves = list(curves)
-    if not curves:
-        raise DegenerateLabels("cannot average zero reject curves")
-    return _mean_curve([_curve_on_grid(curve) for curve in curves])
+def average_reject_curves(curves) -> RejectCurve | None:
+    """Vertical average of reject curves on ``REJECT_XS``, or None for none
+    (as ``reject_experiment`` gives a family that errors on every graph)."""
+    curves = [_curve_on_grid(curve) for curve in curves]
+    return _mean_curve(curves) if curves else None

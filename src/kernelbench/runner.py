@@ -1,7 +1,7 @@
 """Run orchestration and persistence.
 
 Each run writes its outputs into the configured directory: a manifest with
-the full configuration, fixed-schema CSV tables, and standalone SVG plots
+the keys its kind reads, fixed-schema CSV tables, and standalone SVG plots
 for curve-shaped results.  Re-running an identical configuration reproduces
 every CSV byte-for-byte (only the manifest timestamp differs), regardless
 of worker count.

@@ -34,6 +34,33 @@ def _task_specs(cfg):
     return [(t.sizes, t.probabilities.tolist(), t.seed, t.name) for t in cfg.tasks]
 
 
+# The keys each kind reads, written out here as a second record of the map.
+GENERATED_KEYS = {"kind", "families", "tasks", "grid", "graphs", "seed", "workers", "out"}
+KEYS_BY_KIND = {
+    "sweep": GENERATED_KEYS,
+    "tournament": GENERATED_KEYS | {"statistic"},
+    "reject": GENERATED_KEYS,
+    "datasets": {"kind", "families", "tasks", "grid", "statistic", "out", "data_root"},
+}
+# (kind, key, value): every setting a kind was once given and never read
+DROPPED_KEYS = [
+    ("sweep", "statistic", "max"), ("reject", "statistic", "max"),
+    ("sweep", "data_root", "data"), ("reject", "data_root", "data"),
+    ("tournament", "data_root", "data"),
+    ("datasets", "seed", 5), ("datasets", "workers", 2),
+]
+
+
+def _minimal(kind):
+    """A small valid config of the kind."""
+    task = {"nodes": 12, "classes": 2, "p_in": 0.9, "p_out": 0.1}
+    raw = {"kind": kind, "families": ["Heat", "SP-CT"], "grid": 2,
+           "tasks": ["zachary"] if kind == "datasets" else [task]}
+    if kind != "datasets":
+        raw["graphs"] = 1
+    return raw
+
+
 def _assert_round_trips(cfg):
     """The config's file keys parse back to the same keys and task specs.
     Specs compare by identity, so configs are compared through their keys."""
@@ -47,6 +74,7 @@ def _assert_round_trips(cfg):
 def _assert_manifest_round_trips(out, cfg):
     keys = json.loads((out / "manifest.json").read_text())["config"]
     assert keys == config_to_dict(cfg)
+    assert set(keys) == KEYS_BY_KIND[cfg.kind]
     assert config_to_dict(config_from_dict(keys)) == keys
     if cfg.kind != "datasets":
         assert _task_specs(config_from_dict(keys)) == _task_specs(cfg)
@@ -154,7 +182,23 @@ class TestConfig:
                                 "tasks": ["zachary"]})
         with pytest.raises(ConfigInvalid, match="'graphs' does not apply"):
             apply_overrides(cfg, graphs=3)
-        assert apply_overrides(cfg, workers=2).workers == 2
+        with pytest.raises(ConfigInvalid, match="'workers' does not apply to kind 'datasets'"):
+            apply_overrides(cfg, workers=2)
+
+    @pytest.mark.parametrize("kind, key, value", DROPPED_KEYS)
+    def test_key_its_kind_does_not_read_is_refused(self, tmp_path, capsys, kind, key, value):
+        raw = {**_minimal(kind), key: value, "out": str(tmp_path / "o")}
+        path = _write_cfg(tmp_path, json.dumps(raw))
+        with pytest.raises(ConfigInvalid, match=f"^'{key}' does not apply to kind '{kind}'$"):
+            load_config(path)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: '{key}' does not apply to kind '{kind}'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_key_no_kind_reads_is_unknown(self):
+        # 'bogus' is reported as unknown, before 'seed', which datasets ignores
+        with pytest.raises(ConfigInvalid, match=r"^unknown config keys: \['bogus'\]$"):
+            config_from_dict({**_minimal("datasets"), "seed": 1, "bogus": 1})
 
     def test_grid_default_by_kind(self):
         base = {"families": ["Heat", "For"], "tasks": ["zachary"]}
@@ -469,6 +513,15 @@ class TestCliMain:
         path = _write_cfg(tmp_path, MINI_SWEEP.format(out=tmp_path / "o"))
         assert main(["run", str(path), flag, value]) == 2
         assert f"'{flag[2:]}' must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--workers", "2")])
+    def test_datasets_refuses_generated_flag(self, tmp_path, capsys, flag, value):
+        # a datasets run loads its graphs and runs them one after another
+        raw = {**_minimal("datasets"), "out": str(tmp_path / "o")}
+        path = _write_cfg(tmp_path, json.dumps(raw))
+        assert main(["run", str(path), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: '{flag[2:]}' does not apply to kind 'datasets'\n"
         assert not (tmp_path / "o").exists()
 
     def test_verify_only_unknown(self, capsys):

@@ -310,9 +310,10 @@ class TestAverageCurves:
         avg = average_reject_curves([curve])
         assert avg.y[500] == pytest.approx(0.9)
 
-    def test_empty_raises(self):
-        with pytest.raises(DegenerateLabels):
-            average_reject_curves([])
+    def test_empty_is_none(self):
+        # a family that errors on every graph has no curve, as in
+        # reject_experiment, so a replay of that run writes its nan row
+        assert average_reject_curves([]) is None
 
 
 class TestRejectExperiment:

@@ -21,8 +21,6 @@ from .generators import (
     BlockModelSpec,
     block_model_spec,
     generate,
-    six_class_spec,
-    two_class_unequal_spec,
     uniform_spec,
 )
 from .graph import (

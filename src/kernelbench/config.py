@@ -18,7 +18,7 @@ import yaml
 from .errors import ConfigInvalid
 from .evaluation import Statistic
 from .families import FAMILIES
-from .generators import BlockModelSpec, block_model_spec, six_class_spec, two_class_unequal_spec, uniform_spec
+from .generators import BlockModelSpec, block_model_spec, uniform_spec
 
 # The keys each kind reads; a config field its kind does not read keeps its default.
 _GENERATED = ("kind", "families", "tasks", "grid", "graphs", "seed", "workers", "out")
@@ -30,12 +30,11 @@ KIND_KEYS = {
 }
 KINDS = tuple(KIND_KEYS)
 _UNIFORM_TASK_KEYS = {"nodes", "classes", "p_in", "p_out"}
-_UNEQUAL_TASK_KEYS = {"nodes", "n1", "p_in", "p_out"}
 _GENERAL_TASK_KEYS = {"sizes", "probabilities"}  # and an optional "name"
 
 # Integer settings and their least values.
 _LEAST = {"seed": 0, "workers": 0, "grid": 1, "graphs": 1,
-          "nodes": 1, "classes": 1, "n1": 1, "sizes": 1}
+          "nodes": 1, "classes": 1, "sizes": 1}
 
 
 @dataclass(frozen=True)
@@ -73,22 +72,13 @@ def _real(key: str, value, where: str) -> float:
 
 def _task_spec(entry, index: int, seed: int) -> BlockModelSpec:
     task_seed = seed + index
-    if isinstance(entry, str):
-        _require(entry == "sixclass150", f"unknown task shorthand {entry!r}")
-        return six_class_spec(seed=task_seed)
-    _require(isinstance(entry, dict), f"task #{index} must be a mapping or shorthand")
     where = f"task #{index}: "
-    keys = set(entry)
+    keys = set(entry) if isinstance(entry, dict) else set()
     if keys == _UNIFORM_TASK_KEYS:
         return uniform_spec(_count("nodes", entry["nodes"], where),
                             _count("classes", entry["classes"], where),
                             _real("p_in", entry["p_in"], where),
                             _real("p_out", entry["p_out"], where), task_seed)
-    if keys == _UNEQUAL_TASK_KEYS:
-        return two_class_unequal_spec(_count("n1", entry["n1"], where),
-                                      _count("nodes", entry["nodes"], where),
-                                      _real("p_in", entry["p_in"], where),
-                                      _real("p_out", entry["p_out"], where), task_seed)
     if keys - {"name"} == _GENERAL_TASK_KEYS:
         sizes, rows = entry["sizes"], entry["probabilities"]
         name = entry.get("name", "")
@@ -101,10 +91,10 @@ def _task_spec(entry, index: int, seed: int) -> BlockModelSpec:
         return block_model_spec([_count("sizes", s, where) for s in sizes],
                                 [[_real("probabilities", p, where) for p in row] for row in rows],
                                 task_seed, name)
+    found = f"keys {sorted(map(str, keys))}" if isinstance(entry, dict) else repr(entry)
     raise ConfigInvalid(
-        f"task #{index}: keys {sorted(keys)} match no task shape "
-        f"(uniform {sorted(_UNIFORM_TASK_KEYS)}, unequal {sorted(_UNEQUAL_TASK_KEYS)}, "
-        f"general {sorted(_GENERAL_TASK_KEYS)} and an optional 'name')"
+        f"task #{index} matches no task shape (uniform {sorted(_UNIFORM_TASK_KEYS)}, "
+        f"general {sorted(_GENERAL_TASK_KEYS)} and an optional 'name'); got {found}"
     )
 
 
@@ -150,10 +140,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     else:
         tasks = tuple(_task_spec(t, i, seed) for i, t in enumerate(tasks_raw))
 
-    out = str(raw.get("out", f"runs/{kind}"))
+    out = raw.get("out", f"runs/{kind}")
+    _require(isinstance(out, str), f"'out' must be a string, got {out!r}")
     data_root = raw.get("data_root")
-    if data_root is not None:
-        data_root = str(data_root)
+    _require(data_root is None or isinstance(data_root, str),
+             f"'data_root' must be a string or null, got {data_root!r}")
 
     return ExperimentConfig(kind, families, tasks, grid_size, graphs, statistic,
                             seed, workers, out, data_root)
@@ -178,9 +169,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigInvalid(f"no such config file: {path}")
     try:
-        raw = yaml.load(path.read_text(), Loader=_Loader)
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigInvalid(f"{path.name}: {exc}") from None
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config file {path} is not UTF-8: {exc.reason} "
+                            f"at byte {exc.start}") from None
     return config_from_dict(raw)
 
 

@@ -1,10 +1,11 @@
 """Stochastic block model graph generation.
 
 Graphs are sampled from a class-size vector and a symmetric class-pair edge
-probability matrix.  The uniform model (m equal classes, p_in on the
-diagonal, p_out off it) is the common benchmark case; a printed six-class
-heterogeneous structure and two-class unequal splits are provided as named
-builders.
+probability matrix (``block_model_spec``).  The uniform model (m equal
+classes, p_in on the diagonal, p_out off it) is the common benchmark case
+and has its own builder, ``uniform_spec``; unequal classes and
+heterogeneous structures are general block models (see
+``configs/complicated.cfg``).
 
 Sampling is counter-based: graph ``index`` (and each connectivity resample)
 gets its own PCG64 stream seeded through a splitmix64 finalizer, so any
@@ -79,34 +80,6 @@ def uniform_spec(n: int, m: int, p_in: float, p_out: float, seed: int) -> BlockM
     np.fill_diagonal(p, float(p_in))
     name = f"G({n},({m}){p_in:g},{p_out:g})"
     return block_model_spec((n // m,) * m, p, seed, name)
-
-
-def two_class_unequal_spec(n1: int, n: int, p_in: float, p_out: float,
-                           seed: int) -> BlockModelSpec:
-    """Two classes of sizes (n1, n - n1) with uniform probabilities."""
-    if not (1 <= n1 < n):
-        raise ConfigInvalid(f"need 1 <= n1 < n, got n1={n1}, n={n}")
-    p = np.array([[p_in, p_out], [p_out, p_in]], dtype=np.float64)
-    return block_model_spec((n1, n - n1), p, seed, name=f"unequal({n1},{n - n1})")
-
-
-# Six heterogeneous classes on 150 nodes; sizes descend and the class-pair
-# probabilities are deliberately non-uniform.
-_SIX_CLASS_SIZES = (65, 35, 25, 13, 8, 4)
-_SIX_CLASS_P = (
-    (0.30, 0.20, 0.10, 0.15, 0.07, 0.25),
-    (0.20, 0.24, 0.08, 0.13, 0.05, 0.17),
-    (0.10, 0.08, 0.16, 0.09, 0.04, 0.12),
-    (0.15, 0.13, 0.09, 0.20, 0.02, 0.14),
-    (0.07, 0.05, 0.04, 0.02, 0.12, 0.04),
-    (0.25, 0.17, 0.12, 0.14, 0.04, 0.40),
-)
-
-
-def six_class_spec(seed: int = 0) -> BlockModelSpec:
-    """The fixed 150-node six-class heterogeneous structure."""
-    return block_model_spec(_SIX_CLASS_SIZES, np.array(_SIX_CLASS_P), seed,
-                            name="sixclass150")
 
 
 def generate(spec: BlockModelSpec, index: int) -> Graph:

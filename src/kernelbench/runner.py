@@ -96,7 +96,10 @@ def run(cfg: ExperimentConfig) -> Path:
     graphs = ([load_dataset(name, cfg.data_root) for name in cfg.tasks]
               if cfg.kind == "datasets" else [])
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot make output directory {out}: {exc.strerror}") from None
     grid = parameter_grid(cfg.grid_size)
 
     if cfg.kind == "sweep":

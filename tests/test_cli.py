@@ -12,6 +12,7 @@ from kernelbench.errors import ConfigInvalid
 from kernelbench.plots import PALETTE
 from kernelbench.runner import run
 
+CONFIGS = Path(__file__).parents[1] / "configs"
 MINI_SWEEP = """
 kind: sweep
 seed: 11
@@ -156,9 +157,11 @@ class TestConfig:
             config_from_dict({"kind": "sweep", "families": ["Heat"], "tasks": [task]})
 
     def test_bad_task_shape_rejected(self):
-        with pytest.raises(ConfigInvalid, match="task #0"):
-            config_from_dict({"kind": "sweep", "families": ["Heat"],
-                              "tasks": [{"nodes": 10}]})
+        # YAML keys need not be strings, nor of one type
+        for task, keys in [({"nodes": 10}, "['nodes']"), ({1: 2, "nodes": 10}, "['1', 'nodes']")]:
+            with pytest.raises(ConfigInvalid, match="^task #0 matches no task shape") as info:
+                config_from_dict({"kind": "sweep", "families": ["Heat"], "tasks": [task]})
+            assert str(info.value).endswith(f"; got keys {keys}")
 
     def test_bad_statistic_rejected(self):
         with pytest.raises(ConfigInvalid, match="statistic"):
@@ -207,19 +210,20 @@ class TestConfig:
                                                 "p_in": 0.5, "p_out": 0.1}]}
         assert config_from_dict({"kind": "sweep", **gen}).grid_size == 50
 
-    def test_task_shorthands(self):
-        cfg = config_from_dict({
-            "kind": "sweep", "families": ["Heat"], "seed": 5,
-            "tasks": ["sixclass150",
-                      {"nodes": 30, "n1": 5, "p_in": 0.5, "p_out": 0.1},
-                      {"sizes": [3, 4], "probabilities": [[0.9, 0.2], [0.2, 0.9]]}],
-        })
-        assert cfg.tasks[0].sizes == (65, 35, 25, 13, 8, 4)
-        assert cfg.tasks[1].sizes == (5, 25)
-        assert cfg.tasks[2].sizes == (3, 4)
-        assert [t.seed for t in cfg.tasks] == [5, 6, 7]
-        assert [t.name for t in cfg.tasks] == ["sixclass150", "unequal(5,25)", "blocks3x4"]
-        _assert_round_trips(cfg)
+    def test_task_shorthands(self, tmp_path, capsys):
+        # a task is the uniform or the general shape; the six-class and
+        # unequal-class tasks are general ones (configs/complicated.cfg)
+        for task, found in [("sixclass150", "'sixclass150'"),
+                            ({"nodes": 30, "n1": 5, "p_in": 0.5, "p_out": 0.1},
+                             "keys ['n1', 'nodes', 'p_in', 'p_out']")]:
+            raw = {"kind": "sweep", "families": ["Heat"], "grid": 2, "graphs": 1,
+                   "out": str(tmp_path / "o"), "tasks": [task]}
+            assert main(["run", str(_write_cfg(tmp_path, json.dumps(raw)))]) == 2
+            assert capsys.readouterr().err == (
+                "error: task #0 matches no task shape (uniform ['classes', 'nodes', 'p_in', "
+                "'p_out'], general ['probabilities', 'sizes'] and an optional 'name'); "
+                f"got {found}\n")
+            assert not (tmp_path / "o").exists()
 
     def test_general_task_takes_a_name(self):
         cfg = config_from_dict({
@@ -245,7 +249,7 @@ class TestConfig:
         (["Heat"], {"nodes": 10, "classes": 0, "p_in": 0.3, "p_out": 0.1},
          "task #0: 'classes' must be an integer >= 1"),
         (["Heat"], {"nodes": 10, "n1": 0, "p_in": 0.3, "p_out": 0.1},
-         "task #0: 'n1' must be an integer >= 1"),
+         "task #0 matches no task shape"),
         (["Heat"], {"sizes": [3, "x"], "probabilities": [[0.9, 0.2], [0.2, 0.9]]},
          "task #0: 'sizes' must be an integer >= 1"),
         (["Heat"], {"sizes": [3, 0], "probabilities": [[0.9, 0.2], [0.2, 0.9]]},
@@ -304,11 +308,13 @@ class TestConfig:
         cfg = load_config(_write_cfg(tmp_path, block))
         assert cfg.kind == "tournament"
         assert [t.name for t in cfg.tasks] == [
-            "G(100,(2)0.3,0.1)", "unequal(10,90)", "b3x4", "sixclass150"]
+            "G(100,(2)0.3,0.1)", "unequal(10,90)", "blocks3x4"]
 
     def test_committed_configs_parse(self):
-        for name in ("table1", "table2", "fig5", "table4"):
-            cfg = load_config(f"configs/{name}.cfg")
+        paths = sorted(CONFIGS.glob("*.cfg"))
+        assert {"table1.cfg", "complicated.cfg"} <= {path.name for path in paths}
+        for path in paths:
+            cfg = load_config(path)
             assert len(cfg.families) == 13
             _assert_round_trips(cfg)
 
@@ -321,7 +327,9 @@ class TestConfig:
         monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or tmp_path)
         raw = {"kind": "sweep", "seed": 11, "grid": 4, "graphs": 2, "families": ["Heat"],
                "out": str(tmp_path / "o"),
-               "tasks": [{"nodes": 16, "classes": 2, "p_in": 0.9, "p_out": 0.1}, "sixclass150"]}
+               "tasks": [{"nodes": 16, "classes": 2, "p_in": 0.9, "p_out": 0.1},
+                         {"sizes": [4, 8], "probabilities": [[0.9, 0.1], [0.1, 0.6]],
+                          "name": "b4x8"}]}
         path = _write_cfg(tmp_path, json.dumps(raw))
         assert main(["run", str(path), flag, str(value)]) == 0
         edited = load_config(_write_cfg(tmp_path, json.dumps({**raw, key: value}), "edited.cfg"))
@@ -471,6 +479,45 @@ class TestCliMain:
         assert main(["run", "nope.cfg"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_run_config_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config file {tmp_path}: Is a directory\n")
+
+    def test_run_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(MINI_SWEEP.format(out=tmp_path / "o").encode() + b"# caf\xe9\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {path} is not UTF-8: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_run_out_that_is_a_file(self, tmp_path, capsys, monkeypatch):
+        # the output directory is made before any cell runs
+        evaluated = []
+        monkeypatch.setattr(runner, "sweep_task", lambda *a: evaluated.append(a))
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        path = _write_cfg(tmp_path, MINI_SWEEP.format(out=tmp_path / "o"))
+        assert main(["run", str(path), "--out", str(taken)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot make output directory {taken}: File exists\n")
+        assert not evaluated and taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("kind, key, value, want", [
+        ("sweep", "out", None, "a string"), ("sweep", "out", ["a", "b"], "a string"),
+        ("sweep", "out", True, "a string"), ("datasets", "data_root", [1], "a string or null"),
+    ], ids=["out-null", "out-list", "out-true", "data_root-list"])
+    def test_path_key_keeps_its_type(self, tmp_path, capsys, monkeypatch, kind, key, value, want):
+        # str() of these would run into ./None, ./['a', 'b'] or ./True, or
+        # look for data in [1]/
+        monkeypatch.chdir(tmp_path)
+        path = _write_cfg(tmp_path, json.dumps({**_minimal(kind), "out": "o", key: value}))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: '{key}' must be {want}, got {value!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
     def test_run_bad_constant_is_an_error_not_a_traceback(self, tmp_path, capsys):
         text = MINI_SWEEP.format(out=tmp_path / "o") + "constants: {Heat: fast}\n"
         assert main(["run", str(_write_cfg(tmp_path, text))]) == 2
@@ -494,7 +541,8 @@ class TestCliMain:
         ("table1", {"tournament.csv": 1 + 13 * 8 + 13}),
         ("table2", {"sweep.csv": 1 + 3 * 13 * 2, "best_params.csv": 1 + 3 * 13}),
         ("fig5", {"best_params.csv": 1 + 13, "reject.csv": 1 + 13 * 1001}),
-    ], ids=["table1", "table2", "fig5"])
+        ("complicated", {"sweep.csv": 1 + 2 * 13 * 2, "best_params.csv": 1 + 2 * 13}),
+    ], ids=["table1", "table2", "fig5", "complicated"])
     def test_committed_config_runs(self, tmp_path, name, rows):
         # a change to the config surface fails here, not in a user's run;
         # table4's datasets are not in the repository (it is parse-checked)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,15 @@ from kernelbench import (
     build_graph,
     generate,
     is_connected,
-    six_class_spec,
-    two_class_unequal_spec,
     uniform_spec,
 )
+from kernelbench.config import load_config
 from kernelbench.errors import CannotConnect, ConfigInvalid
+
+
+def _complicated():
+    """The abstract's "more complicated cases", as general block-model tasks."""
+    return load_config(Path(__file__).parents[1] / "configs" / "complicated.cfg")
 
 
 class TestSpecBuilders:
@@ -26,21 +32,30 @@ class TestSpecBuilders:
             uniform_spec(100, 3, 0.3, 0.1, seed=1)
 
     def test_two_class_unequal(self):
-        spec = two_class_unequal_spec(10, 100, 0.3, 0.1, seed=1)
-        assert spec.sizes == (10, 90)
-        equal = two_class_unequal_spec(50, 100, 0.3, 0.1, seed=1)
-        assert equal.sizes == (50, 50)
-        with pytest.raises(ConfigInvalid):
-            two_class_unequal_spec(0, 100, 0.3, 0.1, seed=1)
+        cfg = _complicated()
+        spec = cfg.tasks[0]
+        assert spec.sizes == (20, 80)
+        assert spec.probabilities.tolist() == [[0.3, 0.1], [0.1, 0.3]]
+        assert spec.name == "unequal(20,80)"
+        assert spec.seed == cfg.seed + 0
 
     def test_six_class_structure(self):
-        spec = six_class_spec()
+        cfg = _complicated()
+        spec = cfg.tasks[1]
         assert sum(spec.sizes) == 150
         assert spec.sizes == (65, 35, 25, 13, 8, 4)
         p = spec.probabilities
-        assert p[0, 0] == 0.30
-        assert p[5, 5] == 0.40
+        assert p.tolist() == [
+            [0.30, 0.20, 0.10, 0.15, 0.07, 0.25],
+            [0.20, 0.24, 0.08, 0.13, 0.05, 0.17],
+            [0.10, 0.08, 0.16, 0.09, 0.04, 0.12],
+            [0.15, 0.13, 0.09, 0.20, 0.02, 0.14],
+            [0.07, 0.05, 0.04, 0.02, 0.12, 0.04],
+            [0.25, 0.17, 0.12, 0.14, 0.04, 0.40],
+        ]
         assert np.array_equal(p, p.T)
+        assert spec.name == "sixclass150"
+        assert spec.seed == cfg.seed + 1
 
     def test_validation(self):
         with pytest.raises(ConfigInvalid):
@@ -69,7 +84,7 @@ class TestGenerate:
         assert np.array_equal(generate(spec, 5).adjacency, fresh)
 
     def test_label_marginals_exact(self):
-        spec = two_class_unequal_spec(12, 40, 0.6, 0.3, seed=3)
+        spec = block_model_spec((12, 28), np.array([[0.6, 0.3], [0.3, 0.6]]), seed=3)
         g = generate(spec, 0)
         assert np.sum(g.labels == 0) == 12
         assert np.sum(g.labels == 1) == 28
@@ -117,7 +132,8 @@ class TestGenerate:
         assert abs(mean - pairs * 0.3) <= 3 * sigma
 
     def test_graph_is_valid(self):
-        spec = six_class_spec(seed=2)
+        six = _complicated().tasks[1]
+        spec = block_model_spec(six.sizes, six.probabilities, seed=2)
         g = generate(spec, 0)
         build_graph(g.adjacency, g.labels)  # revalidates all invariants
         assert g.num_classes == 6

@@ -223,7 +223,7 @@ def fe_limit_offset(adjacency: np.ndarray) -> np.ndarray:
 # criteria
 # ---------------------------------------------------------------------------
 
-def criterion_a1(seed: int, workers: int, data_root=None) -> CriterionResult:
+def criterion_a1(seed: int, workers: int) -> CriterionResult:
     """Best-of-grid mean ARI of logComm near 0.9466 and highest of all 13."""
     spec = uniform_spec(100, 2, 0.3, 0.1, seed=seed)
     sweeps = sweep_task(spec, FAMILY_NAMES, parameter_grid(50), 50, workers=workers)
@@ -238,7 +238,7 @@ def criterion_a1(seed: int, workers: int, data_root=None) -> CriterionResult:
     return CriterionResult("A1", ok, details)
 
 
-def criterion_a2(seed: int, workers: int, data_root=None) -> CriterionResult:
+def criterion_a2(seed: int, workers: int) -> CriterionResult:
     """Log measures beat plain ones by >= 0.05 on the sparse two-class task."""
     spec = uniform_spec(100, 2, 0.2, 0.05, seed=seed + 10)
     names = ("For", "logFor", "Heat", "logHeat")
@@ -254,7 +254,7 @@ def criterion_a2(seed: int, workers: int, data_root=None) -> CriterionResult:
     return CriterionResult("A2", ok, details)
 
 
-def criterion_a3(seed: int, workers: int, data_root=None) -> CriterionResult:
+def criterion_a3(seed: int, workers: int) -> CriterionResult:
     """Tournament: {logComm, SCCT} top two totals, For last."""
     tasks = [
         uniform_spec(100, 2, 0.3, 0.1, seed=seed + 20),
@@ -263,7 +263,7 @@ def criterion_a3(seed: int, workers: int, data_root=None) -> CriterionResult:
     grid = parameter_grid(50)
     totals = sum(
         copeland_scores(family_statistics(sweep_task(spec, FAMILY_NAMES, grid, 20, workers=workers),
-                                          FAMILY_NAMES, Statistic("max")))
+                                          FAMILY_NAMES, Statistic.parse("max")))
         for spec in tasks
     )
     order = np.argsort(-totals, kind="stable")
@@ -273,10 +273,10 @@ def criterion_a3(seed: int, workers: int, data_root=None) -> CriterionResult:
     return CriterionResult("A3", ok, details)
 
 
-def criterion_a4(seed: int, workers: int, data_root=None) -> CriterionResult:
+def criterion_a4(seed: int, workers: int) -> CriterionResult:
     """Every family except For reaches ARI 1.0 somewhere on the Zachary grid."""
     try:
-        g = load_dataset("zachary", data_root)
+        g = load_dataset("zachary")
     except DatasetMissing as exc:
         return CriterionResult("A4", None, f"dataset missing ({exc})")
     sweeps = sweep_graphs([g], FAMILY_NAMES, parameter_grid(55))
@@ -292,7 +292,7 @@ def criterion_a4(seed: int, workers: int, data_root=None) -> CriterionResult:
     return CriterionResult("A4", ok, details)
 
 
-def criterion_a5(seed: int, workers: int, data_root=None) -> CriterionResult:
+def criterion_a5(seed: int, workers: int) -> CriterionResult:
     """Oracle equivalence suite (exact/tolerance bounds as stated)."""
     rng = np.random.default_rng(seed)
     checks: list[str] = []
@@ -371,7 +371,7 @@ def criterion_a5(seed: int, workers: int, data_root=None) -> CriterionResult:
     return CriterionResult("A5", ok, "; ".join(checks) if checks else "all oracles agree")
 
 
-def criterion_a6(seed: int, workers: int, data_root=None) -> CriterionResult:
+def criterion_a6(seed: int, workers: int) -> CriterionResult:
     """Invariant suite: symmetry, row sums, dualities, determinism."""
     checks: list[str] = []
     spec = uniform_spec(60, 2, 0.3, 0.1, seed=seed + 30)
@@ -438,7 +438,7 @@ def criterion_a6(seed: int, workers: int, data_root=None) -> CriterionResult:
     return CriterionResult("A6", ok, "; ".join(checks) if checks else "all invariants hold")
 
 
-def criterion_a7(seed: int, workers: int, data_root=None) -> CriterionResult:
+def criterion_a7(seed: int, workers: int) -> CriterionResult:
     """RSP/FE approach shortest-path distances at low temperature and
     never drop below them on the grid.
 
@@ -512,12 +512,12 @@ def select_criteria(only=None) -> list[str]:
 
 
 def run_acceptance(only=None, seed: int = DEFAULT_SEED, workers: int = 1,
-                   data_root=None, log=None) -> list[CriterionResult]:
+                   log=None) -> list[CriterionResult]:
     """Run the selected criteria, printing one status line per criterion."""
     results = []
     for name in select_criteria(only):
         try:
-            result = CRITERIA[name](seed=seed, workers=workers, data_root=data_root)
+            result = CRITERIA[name](seed=seed, workers=workers)
         except KernelBenchError as exc:
             result = CriterionResult(name, False, f"aborted: {exc}")
         results.append(result)

@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     verify_p.add_argument("--workers", type=int, default=1)
-    verify_p.add_argument("--data-root", help="dataset directory (default: $KERNELBENCH_DATA)")
     return parser
 
 
@@ -55,9 +54,7 @@ def main(argv=None) -> int:
             out = run(cfg)
             print(f"run complete: {out}")
             return 0
-        results = run_acceptance(only=args.only, seed=args.seed,
-                                 workers=args.workers, data_root=args.data_root,
-                                 log=print)
+        results = run_acceptance(only=args.only, seed=args.seed, workers=args.workers, log=print)
         failed = [r for r in results if r.passed is False]
         return 1 if failed else 0
     except KernelBenchError as exc:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from numbers import Real
 from pathlib import Path
 
 import yaml
@@ -26,15 +25,14 @@ KIND_KEYS = {
     "sweep": _GENERATED,
     "tournament": _GENERATED + ("statistic",),
     "reject": _GENERATED,
-    "datasets": ("kind", "families", "tasks", "grid", "statistic", "out", "data_root"),
+    "datasets": ("kind", "families", "tasks", "grid", "statistic", "out"),
 }
 KINDS = tuple(KIND_KEYS)
 _UNIFORM_TASK_KEYS = {"nodes", "classes", "p_in", "p_out"}
 _GENERAL_TASK_KEYS = {"sizes", "probabilities"}  # and an optional "name"
 
 # Integer settings and their least values.
-_LEAST = {"seed": 0, "workers": 0, "grid": 1, "graphs": 1,
-          "nodes": 1, "classes": 1, "sizes": 1}
+_LEAST = {"seed": 0, "workers": 0, "grid": 1, "graphs": 1}
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,6 @@ class ExperimentConfig:
     seed: int
     workers: int
     out: str
-    data_root: str | None = None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -56,41 +53,25 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigInvalid(message)
 
 
-def _count(key: str, value, where: str = "") -> int:
+def _count(key: str, value) -> int:
     # bool is an int subclass, so YAML's true/false would pass as 1/0
     _require(isinstance(value, int) and not isinstance(value, bool) and value >= _LEAST[key],
-             f"{where}'{key}' must be an integer >= {_LEAST[key]}")
+             f"'{key}' must be an integer >= {_LEAST[key]}")
     return value
 
 
-def _real(key: str, value, where: str) -> float:
-    # a quoted "0.3" stays a string, and true is no number
-    _require(isinstance(value, Real) and not isinstance(value, bool),
-             f"{where}'{key}' must be a real number, got {value!r}")
-    return float(value)
-
-
 def _task_spec(entry, index: int, seed: int) -> BlockModelSpec:
-    task_seed = seed + index
-    where = f"task #{index}: "
+    """The task's shape picks its builder, which checks the fields."""
     keys = set(entry) if isinstance(entry, dict) else set()
-    if keys == _UNIFORM_TASK_KEYS:
-        return uniform_spec(_count("nodes", entry["nodes"], where),
-                            _count("classes", entry["classes"], where),
-                            _real("p_in", entry["p_in"], where),
-                            _real("p_out", entry["p_out"], where), task_seed)
-    if keys - {"name"} == _GENERAL_TASK_KEYS:
-        sizes, rows = entry["sizes"], entry["probabilities"]
-        name = entry.get("name", "")
-        _require(isinstance(sizes, (list, tuple)), f"{where}'sizes' must be a list")
-        m = len(sizes)
-        _require(isinstance(rows, (list, tuple)) and len(rows) == m
-                 and all(isinstance(row, (list, tuple)) and len(row) == m for row in rows),
-                 f"{where}'probabilities' must be {m} rows of {m} numbers")
-        _require(isinstance(name, str), f"{where}'name' must be a string")
-        return block_model_spec([_count("sizes", s, where) for s in sizes],
-                                [[_real("probabilities", p, where) for p in row] for row in rows],
-                                task_seed, name)
+    try:
+        if keys == _UNIFORM_TASK_KEYS:
+            return uniform_spec(entry["nodes"], entry["classes"], entry["p_in"], entry["p_out"],
+                                seed + index)
+        if keys - {"name"} == _GENERAL_TASK_KEYS:
+            return block_model_spec(entry["sizes"], entry["probabilities"], seed + index,
+                                    entry.get("name", ""))
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"task #{index}: {exc}") from None
     found = f"keys {sorted(map(str, keys))}" if isinstance(entry, dict) else repr(entry)
     raise ConfigInvalid(
         f"task #{index} matches no task shape (uniform {sorted(_UNIFORM_TASK_KEYS)}, "
@@ -141,13 +122,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         tasks = tuple(_task_spec(t, i, seed) for i, t in enumerate(tasks_raw))
 
     out = raw.get("out", f"runs/{kind}")
-    _require(isinstance(out, str), f"'out' must be a string, got {out!r}")
-    data_root = raw.get("data_root")
-    _require(data_root is None or isinstance(data_root, str),
-             f"'data_root' must be a string or null, got {data_root!r}")
+    # an empty path would write the run's files into the working directory
+    _require(isinstance(out, str) and out != "", f"'out' must be a nonempty string, got {out!r}")
 
     return ExperimentConfig(kind, families, tasks, grid_size, graphs, statistic,
-                            seed, workers, out, data_root)
+                            seed, workers, out)
 
 
 class _Loader(yaml.SafeLoader):
@@ -197,7 +176,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     values = {
         "kind": cfg.kind, "families": list(cfg.families), "grid": cfg.grid_size,
         "graphs": cfg.graphs_per_task, "statistic": str(cfg.statistic), "seed": cfg.seed,
-        "workers": cfg.workers, "out": cfg.out, "data_root": cfg.data_root,
+        "workers": cfg.workers, "out": cfg.out,
         "tasks": (list(cfg.tasks) if cfg.kind == "datasets"
                   else [_task_entry(spec, i, cfg.seed) for i, spec in enumerate(cfg.tasks)]),
     }

@@ -12,8 +12,8 @@ The format follows the file's suffix:
 Node ids are remapped to 0..N-1 in declaration order for GML and
 first-appearance order for edge lists.  Data files are not vendored;
 ``scripts/fetch_datasets.py`` documents where to get them and checks
-hashes.  The data root is the ``KERNELBENCH_DATA`` environment variable
-unless given explicitly.
+hashes.  Registered datasets are read from the directory named by the
+``KERNELBENCH_DATA`` environment variable (default ``./data``).
 """
 
 from __future__ import annotations
@@ -62,12 +62,6 @@ def dataset_descriptor(name: str) -> DatasetDescriptor:
         if d.name == name.lower():
             return d
     raise NotFound(f"unknown dataset {name!r}")
-
-
-def data_root(root: str | Path | None = None) -> Path:
-    if root is not None:
-        return Path(root)
-    return Path(os.environ.get(DATA_ENV, "data"))
 
 
 # -- GML ----------------------------------------------------------------------
@@ -244,10 +238,11 @@ def load_graph(path: str | Path) -> Graph:
     return g
 
 
-def load_dataset(name: str, root: str | Path | None = None) -> Graph:
-    """Load a registered dataset and check its node/class counts."""
+def load_dataset(name: str) -> Graph:
+    """Load a registered dataset from ``$KERNELBENCH_DATA`` and check its
+    node/class counts."""
     desc = dataset_descriptor(name)
-    path = data_root(root) / desc.filename
+    path = Path(os.environ.get(DATA_ENV, "data")) / desc.filename
     if not path.exists():
         raise DatasetMissing(
             f"dataset {desc.name!r} missing: {path} (run scripts/fetch_datasets.py)"

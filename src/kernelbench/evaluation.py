@@ -56,32 +56,29 @@ def parameter_grid(size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Statistic:
-    """Per-graph summary of a family's grid ARIs: the max or a percentile."""
+    """Per-graph summary of a family's grid ARIs: percentile ``q``; max is q = 100."""
 
-    kind: str  # "max" | "percentile"
-    q: float = 100.0
+    q: float
 
     @classmethod
     def parse(cls, text: str) -> "Statistic":
         text = text.strip()
         if text == "max":
-            return cls("max")
+            return cls(100.0)
         if text.startswith("percentile:"):
             q = float(text.split(":", 1)[1])
             if not (0.0 <= q <= 100.0):
                 raise ParameterOutOfRange(f"percentile must be in [0, 100], got {q}")
-            return cls("percentile", q)
+            return cls(q)
         raise ParameterOutOfRange(f"unknown statistic {text!r} (use max or percentile:q)")
 
     def of(self, values: np.ndarray) -> np.ndarray:
         """The statistic of ``values`` along its last axis."""
-        if self.kind == "max":
-            return np.max(values, axis=-1)
         return np.percentile(values, self.q, axis=-1)
 
     def __str__(self) -> str:
         # repr is the shortest text that parses back to q; 80.0 prints as 80
-        return "max" if self.kind == "max" else f"percentile:{self.q!r}".removesuffix(".0")
+        return "max" if self.q == 100 else f"percentile:{self.q!r}".removesuffix(".0")
 
 
 @dataclass(frozen=True, eq=False)

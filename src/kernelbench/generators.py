@@ -15,6 +15,7 @@ graph is reproducible in isolation and generation parallelizes freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -48,36 +49,63 @@ class BlockModelSpec:
         return np.repeat(np.arange(len(self.sizes)), self.sizes)
 
 
+def _is_int(value) -> bool:
+    # numpy integers are Integral; bool is an int subclass, so true would pass as 1
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _positive_int(key: str, value) -> int:
+    if not (_is_int(value) and value >= 1):
+        raise ConfigInvalid(f"'{key}' must be an integer >= 1")
+    return int(value)
+
+
+def _real(key: str, value) -> float:
+    # a quoted "0.3" stays a string, and true is no number
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ConfigInvalid(f"'{key}' must be a real number, got {value!r}")
+    return float(value)
+
+
+def _is_sequence(value) -> bool:
+    return isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim > 0)
+
+
 def block_model_spec(sizes, probabilities, seed: int, name: str = "") -> BlockModelSpec:
     """Validate and build a block model specification."""
-    sizes = tuple(int(s) for s in sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise ConfigInvalid(f"class sizes must all be >= 1, got {sizes}")
-    p = np.asarray(probabilities, dtype=np.float64)
+    if not _is_sequence(sizes):
+        raise ConfigInvalid("'sizes' must be a list")
+    sizes = tuple(_positive_int("sizes", s) for s in sizes)
+    if not sizes:
+        raise ConfigInvalid("a block model needs at least one class")
     m = len(sizes)
-    if p.shape != (m, m):
-        raise ConfigInvalid(f"probability matrix must be {m}x{m}, got {p.shape}")
+    if not (_is_sequence(probabilities) and len(probabilities) == m
+            and all(_is_sequence(row) and len(row) == m for row in probabilities)):
+        raise ConfigInvalid(f"'probabilities' must be {m} rows of {m} numbers")
+    p = np.array([[_real("probabilities", x) for x in row] for row in probabilities])
+    if not isinstance(name, str):
+        raise ConfigInvalid("'name' must be a string")
     # before the symmetry check, so that a NaN is reported as out of range
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ConfigInvalid("edge probabilities must lie in [0, 1]")
-    if not np.allclose(p, p.T, rtol=0.0, atol=0.0):
+    if not np.array_equal(p, p.T):
         raise ConfigInvalid("probability matrix must be symmetric")
-    seed = int(seed)
-    if seed < 0 or seed > _M64:
+    if not (_is_int(seed) and 0 <= seed <= _M64):
         raise ConfigInvalid("seed must be an unsigned 64-bit integer")
-    p = p.copy()
     p.setflags(write=False)
     if not name:
         name = f"blocks{'x'.join(str(s) for s in sizes)}"
-    return BlockModelSpec(sizes, p, seed, name)
+    return BlockModelSpec(sizes, p, int(seed), name)
 
 
 def uniform_spec(n: int, m: int, p_in: float, p_out: float, seed: int) -> BlockModelSpec:
     """The equal-class model: m classes of n/m nodes, p_in within, p_out across."""
+    n, m = _positive_int("nodes", n), _positive_int("classes", m)
+    p_in, p_out = _real("p_in", p_in), _real("p_out", p_out)
     if n % m != 0:
         raise ConfigInvalid(f"node count {n} not divisible into {m} equal classes")
-    p = np.full((m, m), float(p_out))
-    np.fill_diagonal(p, float(p_in))
+    p = np.full((m, m), p_out)
+    np.fill_diagonal(p, p_in)
     name = f"G({n},({m}){p_in:g},{p_out:g})"
     return block_model_spec((n // m,) * m, p, seed, name)
 

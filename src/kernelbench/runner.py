@@ -93,8 +93,7 @@ def run(cfg: ExperimentConfig) -> Path:
         raise ConfigInvalid(f"tasks {clash} share a name in the run's files")
     # every dataset is loaded before anything is written, so an unknown or
     # missing one stops the run with no output directory
-    graphs = ([load_dataset(name, cfg.data_root) for name in cfg.tasks]
-              if cfg.kind == "datasets" else [])
+    graphs = [load_dataset(name) for name in cfg.tasks] if cfg.kind == "datasets" else []
     out = Path(cfg.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

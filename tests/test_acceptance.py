@@ -46,14 +46,16 @@ def test_a3_tournament_ordering():
     assert result.passed, result.details
 
 
-def test_a4_zachary_absolute_results(zachary_root):
-    result = _run("A4", data_root=zachary_root)
+def test_a4_zachary_absolute_results(zachary_root, monkeypatch):
+    monkeypatch.setenv("KERNELBENCH_DATA", str(zachary_root))
+    result = _run("A4")
     assert result.passed is not None, "zachary fixture should prevent a skip"
     assert result.passed, result.details
 
 
-def test_a4_skips_without_data(tmp_path):
-    result = _run("A4", data_root=tmp_path)
+def test_a4_skips_without_data(tmp_path, monkeypatch):
+    monkeypatch.setenv("KERNELBENCH_DATA", str(tmp_path))
+    result = _run("A4")
     assert result.passed is None
 
 
@@ -120,9 +122,9 @@ def test_a7_grid_lower_bound_holds():
                 assert (delta - sp).min() >= -1e-8
 
 
-def test_verify_runner_reports_all_criteria(zachary_root, capsys):
-    results = run_acceptance(only=["properties"], seed=DEFAULT_SEED, workers=1,
-                             data_root=zachary_root, log=print)
+def test_verify_runner_reports_all_criteria(zachary_root, capsys, monkeypatch):
+    monkeypatch.setenv("KERNELBENCH_DATA", str(zachary_root))
+    results = run_acceptance(only=["properties"], seed=DEFAULT_SEED, workers=1, log=print)
     out = capsys.readouterr().out
     assert [r.name for r in results] == ["A5", "A6", "A7"]
     for r in results:

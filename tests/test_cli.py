@@ -41,13 +41,11 @@ KEYS_BY_KIND = {
     "sweep": GENERATED_KEYS,
     "tournament": GENERATED_KEYS | {"statistic"},
     "reject": GENERATED_KEYS,
-    "datasets": {"kind", "families", "tasks", "grid", "statistic", "out", "data_root"},
+    "datasets": {"kind", "families", "tasks", "grid", "statistic", "out"},
 }
 # (kind, key, value): every setting a kind was once given and never read
 DROPPED_KEYS = [
     ("sweep", "statistic", "max"), ("reject", "statistic", "max"),
-    ("sweep", "data_root", "data"), ("reject", "data_root", "data"),
-    ("tournament", "data_root", "data"),
     ("datasets", "seed", 5), ("datasets", "workers", 2),
 ]
 
@@ -196,6 +194,17 @@ class TestConfig:
             load_config(path)
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err == f"error: '{key}' does not apply to kind '{kind}'\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["sweep", "tournament", "reject", "datasets"])
+    def test_data_root_is_unknown_to_every_kind(self, tmp_path, capsys, kind):
+        # the data directory has one name, $KERNELBENCH_DATA
+        raw = {**_minimal(kind), "data_root": str(tmp_path), "out": str(tmp_path / "o")}
+        path = _write_cfg(tmp_path, json.dumps(raw))
+        with pytest.raises(ConfigInvalid, match=r"^unknown config keys: \['data_root'\]$"):
+            load_config(path)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['data_root']\n"
         assert not (tmp_path / "o").exists()
 
     def test_key_no_kind_reads_is_unknown(self):
@@ -423,13 +432,13 @@ class TestRunner:
         assert f'stroke="{PALETTE[1]}"' in svg and PALETTE[0] not in svg
         assert PALETTE[0] in next(alone.glob("reject_*.svg")).read_text()
 
-    def test_datasets_run(self, tmp_path, zachary_root):
+    def test_datasets_run(self, tmp_path, monkeypatch, zachary_root):
+        monkeypatch.setenv("KERNELBENCH_DATA", str(zachary_root))
         cfg = config_from_dict({
             "kind": "datasets", "grid": 6,
             "families": ["Heat", "logHeat", "SP-CT"],
             "out": str(tmp_path / "d"),
             "tasks": ["zachary"],
-            "data_root": str(zachary_root),
         })
         out = run(cfg)
         assert (out / "tournament.csv").exists()
@@ -506,12 +515,14 @@ class TestCliMain:
         assert not evaluated and taken.read_text() == "kept\n"
 
     @pytest.mark.parametrize("kind, key, value, want", [
-        ("sweep", "out", None, "a string"), ("sweep", "out", ["a", "b"], "a string"),
-        ("sweep", "out", True, "a string"), ("datasets", "data_root", [1], "a string or null"),
-    ], ids=["out-null", "out-list", "out-true", "data_root-list"])
+        ("sweep", "out", None, "a nonempty string"),
+        ("sweep", "out", ["a", "b"], "a nonempty string"),
+        ("sweep", "out", True, "a nonempty string"),
+        ("sweep", "out", "", "a nonempty string"),
+    ], ids=["out-null", "out-list", "out-true", "out-empty"])
     def test_path_key_keeps_its_type(self, tmp_path, capsys, monkeypatch, kind, key, value, want):
-        # str() of these would run into ./None, ./['a', 'b'] or ./True, or
-        # look for data in [1]/
+        # str() of these would run into ./None, ./['a', 'b'] or ./True, and
+        # an empty path would write the run's files into the working directory
         monkeypatch.chdir(tmp_path)
         path = _write_cfg(tmp_path, json.dumps({**_minimal(kind), "out": "o", key: value}))
         assert main(["run", str(path)]) == 2
@@ -530,9 +541,9 @@ class TestCliMain:
         # every dataset loads before the first cell and the output directory
         evaluated = []
         monkeypatch.setattr(runner, "sweep_graphs", lambda *a: evaluated.append(a))
+        monkeypatch.setenv("KERNELBENCH_DATA", str(zachary_root))
         raw = {"kind": "datasets", "grid": 3, "families": ["Heat", "SP-CT"],
-               "tasks": ["zachary", "nosuch"], "data_root": str(zachary_root),
-               "out": str(tmp_path / "o")}
+               "tasks": ["zachary", "nosuch"], "out": str(tmp_path / "o")}
         assert main(["run", str(_write_cfg(tmp_path, json.dumps(raw)))]) == 2
         assert capsys.readouterr().err == "error: unknown dataset 'nosuch'\n"
         assert not evaluated and not (tmp_path / "o").exists()
@@ -575,7 +586,15 @@ class TestCliMain:
     def test_verify_only_unknown(self, capsys):
         assert main(["verify", "--only", "A9"]) == 2
 
-    def test_verify_skips_missing_dataset(self, tmp_path, capsys):
-        assert main(["verify", "--only", "datasets", "--data-root", str(tmp_path)]) == 0
+    def test_verify_skips_missing_dataset(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("KERNELBENCH_DATA", str(tmp_path))
+        assert main(["verify", "--only", "datasets"]) == 0
         out = capsys.readouterr().out
         assert "[SKIP] A4" in out
+
+    def test_verify_has_no_data_root_flag(self, tmp_path, capsys):
+        # the data directory is named by $KERNELBENCH_DATA alone
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--only", "datasets", "--data-root", str(tmp_path)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --data-root" in capsys.readouterr().err

@@ -176,19 +176,22 @@ class TestRegistry:
         with pytest.raises(NotFound):
             dataset_descriptor("karate")
 
-    def test_load_missing_dataset(self, tmp_path):
+    def test_load_missing_dataset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("KERNELBENCH_DATA", str(tmp_path))
         with pytest.raises(DatasetMissing):
-            load_dataset("zachary", tmp_path)
+            load_dataset("zachary")
 
-    def test_count_mismatch_aborts(self, tmp_path, p3_gml):
+    def test_count_mismatch_aborts(self, tmp_path, p3_gml, monkeypatch):
         (tmp_path / "zachary.gml").write_text(p3_gml.read_text())
+        monkeypatch.setenv("KERNELBENCH_DATA", str(tmp_path))
         with pytest.raises(ParseError):
-            load_dataset("zachary", tmp_path)
+            load_dataset("zachary")
 
 
 class TestZachary:
-    def test_loads_with_expected_shape(self, zachary_root):
-        g = load_dataset("zachary", zachary_root)
+    def test_loads_with_expected_shape(self, zachary_root, monkeypatch):
+        monkeypatch.setenv("KERNELBENCH_DATA", str(zachary_root))
+        g = load_dataset("zachary")
         assert g.n == 34
         assert g.num_classes == 2
         assert is_connected(g)

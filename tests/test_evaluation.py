@@ -56,8 +56,8 @@ class TestParameterGrid:
 
 class TestStatistic:
     def test_parse(self):
-        assert Statistic.parse("max") == Statistic("max")
-        assert Statistic.parse("percentile:90") == Statistic("percentile", 90.0)
+        assert Statistic.parse("max") == Statistic(100.0)
+        assert Statistic.parse("percentile:90") == Statistic(90.0)
         with pytest.raises(ParameterOutOfRange):
             Statistic.parse("median")
         with pytest.raises(ParameterOutOfRange):
@@ -78,7 +78,7 @@ class TestStatistic:
         # a (graphs, grid) ARI table with -1 error cells, as family_statistics sees it
         table = np.where(rng.random((30, 17)) < 0.2, -1.0, rng.uniform(-0.5, 1.0, (30, 17)))
         statistic = Statistic.parse(text)
-        rows = [np.max(row) if statistic.kind == "max" else np.percentile(row, statistic.q)
+        rows = [np.max(row) if text == "max" else np.percentile(row, statistic.q)
                 for row in table]
         assert statistic.of(table).tolist() == rows
 
@@ -178,8 +178,9 @@ class TestCopeland:
     def test_tournament_and_percentile_100_equals_max(self):
         fams = ("Heat", "logHeat", "SP-CT")
         sweeps = sweep_task(uniform_spec(16, 2, 0.8, 0.1, seed=13), fams, parameter_grid(4), 3)
-        by_max = copeland_scores(family_statistics(sweeps, fams, Statistic("max")))
-        by_p100 = copeland_scores(family_statistics(sweeps, fams, Statistic("percentile", 100.0)))
+        maxima = np.stack([sweeps[name].ari.max(axis=1) for name in fams], axis=1)
+        by_max = copeland_scores(maxima)
+        by_p100 = copeland_scores(family_statistics(sweeps, fams, Statistic.parse("max")))
         assert np.array_equal(by_max, by_p100)
         assert by_max.sum() == 0
 
@@ -192,7 +193,7 @@ class TestCopeland:
 
     def test_error_cells_feed_minus_one(self, overflow_graph):
         sweeps = sweep_graphs([overflow_graph], ("Comm", "Heat"), parameter_grid(4))
-        stats = family_statistics(sweeps, ("Comm", "Heat"), Statistic("percentile", 0.0))
+        stats = family_statistics(sweeps, ("Comm", "Heat"), Statistic(0.0))
         assert stats[0, 0] == -1.0
 
 

@@ -67,6 +67,47 @@ class TestSpecBuilders:
         with pytest.raises(ConfigInvalid):
             block_model_spec((2, 2), np.eye(2) * 0.5, seed=-3)
 
+    @pytest.mark.parametrize("sizes, probabilities, seed, name, match", [
+        ([2.5, 3], np.eye(2) * 0.5, 1, "", "'sizes' must be an integer >= 1"),
+        (["4", 3], np.eye(2) * 0.5, 1, "", "'sizes' must be an integer >= 1"),
+        ([True, 3], np.eye(2) * 0.5, 1, "", "'sizes' must be an integer >= 1"),
+        (7, [[0.5]], 1, "", "'sizes' must be a list"),
+        ([], [], 1, "", "at least one class"),
+        ([2, 3], [[0.5, 0.1], [0.1]], 1, "", "'probabilities' must be 2 rows of 2 numbers"),
+        ([2, 3], np.full((2, 3), 0.5), 1, "", "'probabilities' must be 2 rows of 2 numbers"),
+        ([2, 3], [[0.5, "0.1"], [0.1, 0.5]], 1, "",
+         r"'probabilities' must be a real number, got '0\.1'"),
+        ([2, 3], [[True, 0.1], [0.1, 0.5]], 1, "", "'probabilities' must be a real number"),
+        ([2, 3], np.eye(2) * 0.5, 1.7, "", "seed must be an unsigned 64-bit integer"),
+        ([2, 3], np.eye(2) * 0.5, True, "", "seed must be an unsigned 64-bit integer"),
+        ([2, 3], np.eye(2) * 0.5, 1, 5, "'name' must be a string"),
+    ], ids=["size-float", "size-str", "size-bool", "sizes-int", "sizes-empty", "rows-ragged",
+            "rows-wide", "p-str", "p-bool", "seed-float", "seed-bool", "name-int"])
+    def test_block_model_checks_its_inputs(self, sizes, probabilities, seed, name, match):
+        # nothing is rounded or coerced into a model the caller did not ask for
+        with pytest.raises(ConfigInvalid, match=match):
+            block_model_spec(sizes, probabilities, seed, name)
+
+    @pytest.mark.parametrize("args, match", [
+        ((100, 0, 0.3, 0.1), "'classes' must be an integer >= 1"),
+        ((100.0, 2, 0.3, 0.1), "'nodes' must be an integer >= 1"),
+        ((100, 2, "0.3", 0.1), r"'p_in' must be a real number, got '0\.3'"),
+        ((100, 2, 0.3, True), "'p_out' must be a real number"),
+    ], ids=["classes-zero", "nodes-float", "p_in-str", "p_out-bool"])
+    def test_uniform_checks_its_inputs(self, args, match):
+        with pytest.raises(ConfigInvalid, match=match):
+            uniform_spec(*args, seed=1)
+
+    def test_builders_take_numpy_values(self):
+        spec = block_model_spec(np.array([3, 4]), np.array([[0.5, 0.1], [0.1, 0.5]]), np.int64(3))
+        assert spec.sizes == (3, 4) and type(spec.sizes[0]) is int
+        assert spec.seed == 3 and type(spec.seed) is int
+        assert spec.name == "blocks3x4"
+        spec = uniform_spec(np.int64(10), np.int64(2), np.float64(0.5), np.float32(0.25),
+                            seed=np.uint64(7))
+        assert (spec.sizes, spec.seed, spec.name) == ((5, 5), 7, "G(10,(2)0.5,0.25)")
+        assert spec.probabilities.tolist() == [[0.5, 0.25], [0.25, 0.5]]
+
 
 class TestGenerate:
     def test_deterministic_bits(self):

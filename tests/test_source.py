@@ -103,3 +103,16 @@ def test_process_pools_open_only_in_evaluation_pool():
             lines -= set(_pool_calls(pool))
         outside += [f"{path.name} (line {line})" for line in sorted(lines)]
     assert not outside, f"ProcessPoolExecutor is called outside evaluation._pool: {outside}"
+
+
+def test_only_datasets_reads_the_environment():
+    # the data directory is named in one place, $KERNELBENCH_DATA in datasets.py
+    readers = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv"):
+                readers.append(f"{path.name} (line {node.lineno})")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                    alias.name in ("environ", "environb", "getenv") for alias in node.names):
+                readers.append(f"{path.name} (line {node.lineno})")
+    assert readers and all(r.startswith("datasets.py ") for r in readers), readers

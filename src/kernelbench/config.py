@@ -19,7 +19,7 @@ from .evaluation import Statistic
 from .families import FAMILIES
 from .generators import BlockModelSpec, block_model_spec, uniform_spec
 
-# The keys each kind reads; a config field its kind does not read keeps its default.
+# The keys each kind reads; a config field its kind does not read is None.
 _GENERATED = ("kind", "families", "tasks", "grid", "graphs", "seed", "workers", "out")
 KIND_KEYS = {
     "sweep": _GENERATED,
@@ -41,10 +41,10 @@ class ExperimentConfig:
     families: tuple[str, ...]
     tasks: tuple  # BlockModelSpec... for generated kinds, dataset names for "datasets"
     grid_size: int
-    graphs_per_task: int
-    statistic: Statistic
-    seed: int
-    workers: int
+    graphs_per_task: int | None
+    statistic: Statistic | None
+    seed: int | None
+    workers: int | None
     out: str
 
 
@@ -58,6 +58,13 @@ def _count(key: str, value) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool) and value >= _LEAST[key],
              f"'{key}' must be an integer >= {_LEAST[key]}")
     return value
+
+
+def _statistic(key: str, value) -> Statistic:
+    try:
+        return Statistic.parse(str(value))
+    except Exception as exc:
+        raise ConfigInvalid(f"bad '{key}': {exc}") from None
 
 
 def _task_spec(entry, index: int, seed: int) -> BlockModelSpec:
@@ -100,16 +107,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(kind in ("sweep", "reject") or len(families) >= 2,
              f"kind {kind!r} ranks families against each other and needs at least 2")
 
-    seed = _count("seed", raw.get("seed", 1))
-    grid_size = _count("grid", raw.get("grid", 55 if kind == "datasets" else 50))
-    graphs = _count("graphs", raw.get("graphs", 1 if kind == "datasets" else 50))
+    def setting(key, default, parse):
+        # a field its kind does not read is None, so code that reads one
+        # fails instead of getting a value no config set
+        return parse(key, raw.get(key, default)) if key in KIND_KEYS[kind] else None
 
-    try:
-        statistic = Statistic.parse(str(raw.get("statistic", "max")))
-    except Exception as exc:
-        raise ConfigInvalid(f"bad 'statistic': {exc}") from None
-
-    workers = _count("workers", raw.get("workers", 1))
+    seed = setting("seed", 1, _count)
+    grid_size = setting("grid", 55 if kind == "datasets" else 50, _count)
+    graphs = setting("graphs", 50, _count)
+    statistic = setting("statistic", "max", _statistic)
+    workers = setting("workers", 1, _count)
 
     tasks_raw = raw.get("tasks", ())
     _require(isinstance(tasks_raw, (list, tuple)) and len(tasks_raw) > 0,

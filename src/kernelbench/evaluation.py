@@ -35,9 +35,9 @@ from .transforms import clustering_sqdist, reject_distance
 
 GRID_MARGIN = 0.02
 
-# Float64 entries in one graph's stack of Ward inputs (4 MB): cells are
+# Float64 entries in one graph's stack of Ward inputs (8 MB): cells are
 # clustered together in stacks of max(1, STACK_ENTRIES // n**2).
-STACK_ENTRIES = 1 << 19
+STACK_ENTRIES = 1 << 20
 
 # Reject curves are averaged on these evenly spaced x in [0, 1].
 REJECT_XS = np.linspace(0.0, 1.0, 1001)
@@ -308,17 +308,36 @@ def _mean_curve(ys: list) -> RejectCurve:
     return RejectCurve(REJECT_XS, total, float(np.trapezoid(total, REJECT_XS)))
 
 
+def _ys_on_grid(inter: np.ndarray, intra: np.ndarray) -> np.ndarray:
+    """The reject curve of sorted inter-class and intra-class distances on
+    ``REJECT_XS``, bit for bit as ``_curve_on_grid(reject_curve(...))``.
+
+    The curve's last point at x = j/n_inter has as y the share of intra-class
+    distances strictly below ``inter[j]``.  That x is a point for j = 0 and
+    wherever ``inter[j-1] < inter[j]``, and (1, 1) ends the curve.
+    """
+    j = np.flatnonzero(np.append(True, inter[1:] != inter[:-1]))
+    x = np.append(j / inter.shape[0], 1.0)
+    y = np.append(np.searchsorted(intra, inter[j]) / intra.shape[0], 1.0)
+    return np.interp(REJECT_XS, x, y)
+
+
 def _graph_reject_job(args):
     """Reject curves of one graph source at fixed per-family parameters, each
-    sampled on the averaging grid, or None where the family errors."""
+    sampled on the averaging grid, or None where the family errors or the
+    graph lacks intra-class or inter-class pairs."""
     source, family_params = args
     g = _source_graph(source)
+    iu, ju = np.triu_indices(g.n, 1)
+    intra = g.labels[iu] == g.labels[ju]
+    if intra.all() or not intra.any():
+        return [None] * len(family_params)
     evaluator = FamilyEvaluator(g)
     curves = []
     for name, p in family_params:
         try:
-            dist = reject_distance(evaluator.matrix(name, p))
-            curves.append(_curve_on_grid(reject_curve(dist, g.labels)))
+            values = reject_distance(evaluator.matrix(name, p)).matrix[iu, ju]
+            curves.append(_ys_on_grid(np.sort(values[~intra]), np.sort(values[intra])))
         except KernelBenchError:
             curves.append(None)
     return curves

@@ -31,13 +31,6 @@ def _text(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _format_points(point: str, sep: str, xs: np.ndarray, ys: np.ndarray) -> str:
-    """``point % (x, y)`` for each point, joined by ``sep``: one format call
-    over Python floats, which format faster than numpy scalars."""
-    flat = np.column_stack((xs, ys)).ravel().tolist()
-    return sep.join([point] * xs.shape[0]) % tuple(flat)
-
-
 def write_curves_svg(path: str | Path, curves, title: str, xlabel: str,
                      ylabel: str, y_range=(0.0, 1.0), slots=None) -> Path:
     """Write labeled polyline curves to ``path``.
@@ -101,13 +94,22 @@ def write_curves_svg(path: str | Path, curves, title: str, xlabel: str,
 
     if slots is None:
         slots = range(len(curves))
+    # A curve's points take one % call over Python floats, which format
+    # faster than numpy scalars, on rows whose x is already filled in.  The
+    # rows are made again only when a curve's x differs in any bit from the
+    # last curve's (-0.0 prints apart from 0.0).
+    grid = None
     for idx, ((label, xs, ys), slot) in enumerate(zip(curves, slots)):
         color = PALETTE[slot % len(PALETTE)]
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        data = _format_points("%.6g,%.6g", ";", xs, ys)
+        if xs.tobytes() != grid:
+            grid = xs.tobytes()
+            data_rows = ";".join(["%.6g,%%.6g" % x for x in xs.tolist()])
+            pts_rows = " ".join(["%.2f,%%.2f" % x for x in sx(xs).tolist()])
+        data = data_rows % tuple(ys.tolist())
         lines.append(f"<!-- data {label}: {data} -->")
-        pts = _format_points("%.2f,%.2f", " ", sx(xs), sy(ys))
+        pts = pts_rows % tuple(sy(ys).tolist())
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
         )

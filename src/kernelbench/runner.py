@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import datetime
 import json
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -139,9 +138,11 @@ def _run_sweep(cfg, grid, out):
 
 
 def _run_reject(cfg, grid, out):
-    reject_rows = []
+    reject_rows = ["family,x,y_mean\r\n"]
     best_rows = []
-    x_text = [_fnum(x) for x in REJECT_XS.tolist()]
+    # a curve's reject.csv rows, as csv.writer writes them from _fnum values,
+    # in one % call; family names come from the registry and need no quoting
+    template = "".join(f"{{family}},{_fnum(x)},%.10g\r\n" for x in REJECT_XS.tolist())
     for spec in cfg.tasks:
         averaged = reject_experiment(spec, cfg.families, grid, cfg.graphs_per_task, cfg.workers)
         curves, slots = [], []
@@ -154,13 +155,13 @@ def _run_reject(cfg, grid, out):
                 continue
             curves.append((name, curve.x, curve.y))
             slots.append(slot)
-            reject_rows.extend(zip(repeat(name), x_text, map(_fnum, curve.y.tolist())))
+            reject_rows.append(template.replace("{family}", name) % tuple(curve.y.tolist()))
         write_curves_svg(
             out / f"reject_{_safe(spec.name)}.svg", curves,
             title=f"average reject curves: {spec.name}",
             xlabel="inter-class share", ylabel="intra-class share", slots=slots,
         )
-    _write_csv(out / "reject.csv", ("family", "x", "y_mean"), reject_rows)
+    (out / "reject.csv").write_text("".join(reject_rows), newline="")
     _write_csv(out / "best_params.csv", ("task", "family", "param", "auc"), best_rows)
 
 

@@ -1,14 +1,18 @@
+import csv
 import dataclasses
+import io
 import json
 from pathlib import Path
 from xml.dom import minidom
 
+import numpy as np
 import pytest
 
 from kernelbench import cli, runner
 from kernelbench.cli import main
 from kernelbench.config import apply_overrides, config_from_dict, config_to_dict, load_config
 from kernelbench.errors import ConfigInvalid
+from kernelbench.evaluation import REJECT_XS, RejectCurve
 from kernelbench.plots import PALETTE
 from kernelbench.runner import run
 
@@ -195,6 +199,15 @@ class TestConfig:
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err == f"error: '{key}' does not apply to kind '{kind}'\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["sweep", "tournament", "reject", "datasets"])
+    def test_field_its_kind_does_not_read_is_none(self, kind):
+        # code that reads such a field fails instead of getting a default
+        cfg = config_from_dict(_minimal(kind))
+        fields = {"grid": cfg.grid_size, "graphs": cfg.graphs_per_task,
+                  "statistic": cfg.statistic, "seed": cfg.seed, "workers": cfg.workers}
+        assert {key for key, value in fields.items() if value is None} == (
+            set(fields) - KEYS_BY_KIND[kind])
 
     @pytest.mark.parametrize("kind", ["sweep", "tournament", "reject", "datasets"])
     def test_data_root_is_unknown_to_every_kind(self, tmp_path, capsys, kind):
@@ -431,6 +444,28 @@ class TestRunner:
         # each family keeps the colour of its place in 'families'
         assert f'stroke="{PALETTE[1]}"' in svg and PALETTE[0] not in svg
         assert PALETTE[0] in next(alone.glob("reject_*.svg")).read_text()
+
+    def test_reject_rows_as_csv_writer_writes_them(self, tmp_path, monkeypatch):
+        # reject.csv is written a curve at a time; it must hold what
+        # csv.writer writes from _fnum values, extreme floats included
+        special = [5e-324, 1e-300, 0.1 + 0.2, 1 - 2 ** -53, 0.0, 1.0]
+        ys = [np.resize(special, REJECT_XS.shape), np.random.default_rng(3).random(REJECT_XS.shape)]
+        curves = {"Heat": ys[0], "Comm": None, "SP-CT": ys[1]}
+        monkeypatch.setattr(runner, "reject_experiment", lambda *args: {
+            name: (0.5, y if y is None else RejectCurve(REJECT_XS, y, 0.5))
+            for name, y in curves.items()})
+        out = run(config_from_dict({
+            "kind": "reject", "grid": 2, "graphs": 1, "families": list(curves),
+            "out": str(tmp_path / "rj"),
+            "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.9, "p_out": 0.1}],
+        }))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(("family", "x", "y_mean"))
+        for name in ("Heat", "SP-CT"):
+            writer.writerows((name, runner._fnum(x), runner._fnum(y))
+                             for x, y in zip(REJECT_XS, curves[name]))
+        assert (out / "reject.csv").read_bytes() == expected.getvalue().encode()
 
     def test_datasets_run(self, tmp_path, monkeypatch, zachary_root):
         monkeypatch.setenv("KERNELBENCH_DATA", str(zachary_root))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kernelbench import evaluation, generate, uniform_spec
+from kernelbench import FAMILY_NAMES, block_model_spec, evaluation, generate, uniform_spec
 from kernelbench.acceptance import auc_mannwhitney_oracle
+from kernelbench.cli import main
 from kernelbench.config import config_from_dict
 from kernelbench.errors import ConfigInvalid, DegenerateLabels, KernelBenchError, ParameterOutOfRange
 from kernelbench.evaluation import (
@@ -317,6 +318,28 @@ class TestAverageCurves:
         assert average_reject_curves([]) is None
 
 
+def _reduced_as_average_reject_curves(spec, families, grid, n_graphs):
+    """Checks that each graph's ``reject_curve``, averaged by the public
+    function, gives the protocol's result bit for bit, graphs where a family
+    errors dropped.  Returns the result and each family's kept (distance,
+    labels) pairs."""
+    out = reject_experiment(spec, families, grid, n_graphs)
+    evaluators = [FamilyEvaluator(generate(spec, i)) for i in range(n_graphs)]
+    kept = {}
+    for name in families:
+        p, curve = out[name]
+        kept[name] = []
+        for ev in evaluators:
+            try:
+                kept[name].append((reject_distance(ev.matrix(name, p)), ev.graph.labels))
+            except KernelBenchError:
+                continue
+        expected = average_reject_curves([reject_curve(*pair) for pair in kept[name]])
+        assert np.array_equal(curve.x, expected.x) and np.array_equal(curve.y, expected.y)
+        assert curve.auc == expected.auc
+    return out, kept
+
+
 class TestRejectExperiment:
     def test_separated_task_high_auc(self):
         spec = uniform_spec(20, 2, 0.9, 0.05, seed=23)
@@ -341,26 +364,43 @@ class TestRejectExperiment:
             assert np.array_equal(curve.x, other.x) and np.array_equal(curve.y, other.y)
 
     def test_reduced_in_job_as_average_reject_curves(self):
-        # each graph's curves, averaged by the public function, give the
-        # protocol's result bit for bit, graphs that error dropped
-        out = reject_experiment(OVERFLOW_SPEC, self.FAMILIES, self.GRID, 4)
+        out, kept = _reduced_as_average_reject_curves(OVERFLOW_SPEC, self.FAMILIES, self.GRID, 4)
         assert out["Comm"][0] == 0.9583
-        evaluators = [FamilyEvaluator(generate(OVERFLOW_SPEC, i)) for i in range(4)]
-        dropped = {}
-        for name in self.FAMILIES:
-            p, curve = out[name]
-            curves = []
-            for ev in evaluators:
-                try:
-                    dist = reject_distance(ev.matrix(name, p))
-                except KernelBenchError:
-                    continue
-                curves.append(reject_curve(dist, ev.graph.labels))
-            dropped[name] = len(evaluators) - len(curves)
-            expected = average_reject_curves(curves)
-            assert np.array_equal(curve.x, expected.x) and np.array_equal(curve.y, expected.y)
-            assert curve.auc == expected.auc
+        dropped = {name: 4 - len(pairs) for name, pairs in kept.items()}
         assert dropped == dict.fromkeys(self.FAMILIES, 0) | {"Comm": 2}
+
+    def test_reduced_in_job_as_average_reject_curves_with_ties(self):
+        # four 6-cliques, two of them joined by every edge and the others by
+        # a few: distances tie among intra-class pairs, among inter-class
+        # pairs, and between the two, where a curve's points are decided
+        p = np.full((4, 4), 0.05)
+        np.fill_diagonal(p, 1.0)
+        p[0, 1] = p[1, 0] = 1.0
+        spec = block_model_spec((6,) * 4, p, 5, "cliques")
+        _, kept = _reduced_as_average_reject_curves(spec, FAMILY_NAMES, parameter_grid(3), 2)
+        ties = {"intra": 0, "inter": 0, "across": 0}
+        for pairs in kept.values():
+            for dist, labels in pairs:
+                iu, ju = np.triu_indices(labels.shape[0], 1)
+                intra = labels[iu] == labels[ju]
+                values = dist.matrix[iu, ju]
+                ties["intra"] += values[intra].size > np.unique(values[intra]).size
+                ties["inter"] += values[~intra].size > np.unique(values[~intra]).size
+                ties["across"] += np.intersect1d(values[intra], values[~intra]).size > 0
+        assert min(ties.values()) >= 20, ties
+
+    def test_one_class_task_has_no_curves(self, tmp_path):
+        # a one-class graph has no inter-class pair: every family gets a nan
+        # AUC row and no reject.csv rows, and the run still completes
+        config = tmp_path / "one.cfg"
+        config.write_text(
+            "kind: reject\ngrid: 3\ngraphs: 2\nfamilies: [Heat, SP-CT]\n"
+            f"out: {tmp_path / 'one'}\n"
+            "tasks:\n  - {sizes: [12], probabilities: [[0.5]], name: one}\n")
+        assert main(["run", str(config)]) == 0
+        best = (tmp_path / "one" / "best_params.csv").read_text().splitlines()
+        assert best == ["task,family,param,auc", "one,Heat,0.02,nan", "one,SP-CT,0.02,nan"]
+        assert (tmp_path / "one" / "reject.csv").read_bytes() == b"family,x,y_mean\r\n"
 
     def test_family_failing_on_every_graph_has_no_curve(self, comm_fails):
         out = reject_experiment(uniform_spec(20, 2, 0.6, 0.1, seed=6), ("Comm", "Heat"),

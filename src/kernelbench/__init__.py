@@ -39,6 +39,7 @@ from .evaluation import (
     parameter_grid,
     reject_curve,
     reject_experiment,
+    shutdown_pool,
     sweep_graphs,
     sweep_task,
 )

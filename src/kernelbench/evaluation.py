@@ -13,15 +13,19 @@ inter-class vs intra-class distances directly, independent of clustering.
 One per-graph job evaluates every (family, parameter) cell of a graph; the
 jobs are embarrassingly parallel, every cell runs on one BLAS thread, and
 results are aggregated in a fixed sort order, so outputs are identical for
-any worker count.
+any worker count.  Pooled calls of one size reuse one kept process pool, so
+its workers are forked once per process, not once per call.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from multiprocessing import active_children, parent_process
 
 import numpy as np
 
@@ -176,11 +180,63 @@ def _openblas_threads():
     return (lambda: None), (lambda count: None)
 
 
+@dataclass(eq=False)
+class _KeptPool:
+    """A process pool kept for later protocol calls of its size.  ``others``
+    are the process's children from before the pool started; ``workers``
+    are the pool's own, learned when the first call on it returns."""
+
+    size: int
+    executor: ProcessPoolExecutor
+    others: frozenset
+    workers: frozenset = frozenset()
+
+    def serves(self, size: int) -> bool:
+        """Whether a call that needs ``size`` processes may reuse the pool: it
+        must be of that size, and none of its workers may have died since
+        (the pool would be broken)."""
+        return self.size == size and all(worker.is_alive() for worker in self.workers)
+
+
+_kept: _KeptPool | None = None
+_lock = threading.RLock()
+
+
+def _forget_pool():
+    """In a forked child: the kept pool and the lock are the parent's."""
+    global _kept, _lock
+    _kept, _lock = None, threading.RLock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def shutdown_pool():
+    """Join the workers of the kept process pool, if there is one; the next
+    pooled protocol call starts a new pool.  A call running in another thread
+    finishes first."""
+    global _kept
+    with _lock:
+        kept, _kept = _kept, None
+        if kept is not None:
+            kept.executor.shutdown()
+
+
 @contextmanager
 def _pool(workers: int, jobs: int):
     """A process pool of ``min(workers, jobs)`` processes, ``jobs`` being the
     graphs per stage, or None (run serially) for fewer than 2; one protocol
     call runs all of its stages on it.
+
+    The pool outlives the call: later calls of its size in this process get
+    it again, and its workers stay warm until the size changes,
+    ``shutdown_pool`` is called or the process exits.  A call of another
+    size, or one that finds a worker dead, shuts it down and starts a new
+    one, and a call that raises shuts it down.  A forked child starts with
+    no pool.  A process that multiprocessing started shuts its pool down
+    after each call, since multiprocessing joins such a process's children
+    before it exits.  Calls hold a lock while they run, so calls from
+    several threads of one process run one at a time.
 
     While it is open the loaded OpenBLAS runs one thread, serial or pooled,
     and the old count comes back when it closes.  The thread count moves
@@ -188,18 +244,32 @@ def _pool(workers: int, jobs: int):
     the bytes the same for any worker count; workers forked from this
     process also start with one thread instead of oversubscribing the CPUs.
     """
+    global _kept
     size = min(workers, jobs)
-    get, set_threads = _openblas_threads()
-    threads = get()
-    set_threads(1)
-    try:
-        if size < 2:
-            yield None
-        else:
-            with ProcessPoolExecutor(max_workers=size) as pool:
-                yield pool
-    finally:
-        set_threads(threads)
+    with _lock:
+        get, set_threads = _openblas_threads()
+        threads = get()
+        set_threads(1)
+        try:
+            if size < 2:
+                yield None
+                return
+            if _kept is None or not _kept.serves(size):
+                shutdown_pool()
+                _kept = _KeptPool(size, ProcessPoolExecutor(max_workers=size),
+                                  frozenset(active_children()))
+            kept = _kept
+            try:
+                yield kept.executor
+            except BaseException:
+                shutdown_pool()
+                raise
+            if parent_process() is not None:
+                shutdown_pool()
+            elif not kept.workers:
+                kept.workers = frozenset(active_children()) - kept.others
+        finally:
+            set_threads(threads)
 
 
 def _run_jobs(fn, jobs, pool):

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from kernelbench import build_graph, generate, uniform_spec
+from kernelbench import build_graph, evaluation, generate, uniform_spec
 from kernelbench.errors import NumericalOverflow
 from kernelbench.measures import FamilyEvaluator
+
+
+@pytest.fixture(autouse=True)
+def no_kept_pool():
+    """Every test starts without a kept process pool and leaves none behind,
+    so no test runs on workers forked for, or under the patches of, another."""
+    yield
+    evaluation.shutdown_pool()
 
 
 @pytest.fixture

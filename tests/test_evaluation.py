@@ -1,6 +1,16 @@
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kernelbench
 from kernelbench import FAMILY_NAMES, block_model_spec, evaluation, generate, uniform_spec
 from kernelbench.acceptance import auc_mannwhitney_oracle
 from kernelbench.cli import main
@@ -412,21 +422,19 @@ class TestRejectExperiment:
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replaces the process pool with an in-process map; returns the size of
-    each pool opened."""
+    each pool started."""
     sizes = []
 
     class InProcessPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
+            self.shut = False
 
         def map(self, fn, jobs):
             return map(fn, jobs)
+
+        def shutdown(self):
+            self.shut = True
 
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
     return sizes
@@ -444,13 +452,168 @@ class TestPoolSize:
         assert pool_sizes == []
 
     def test_tournament_pool_sized_by_graphs_per_task(self, pool_sizes, tmp_path):
-        # a tournament opens one pool per task, as sweep_task does
+        # both tasks need three processes, so the second reuses the first's pool
         task = {"nodes": 16, "classes": 2, "p_in": 0.8, "p_out": 0.1}
         run(config_from_dict({
             "kind": "tournament", "families": ["Heat", "SP-CT"], "grid": 2, "graphs": 3,
             "workers": 8, "out": str(tmp_path / "t"), "tasks": [task, {**task, "p_out": 0.2}],
         }))
-        assert pool_sizes == [3, 3]
+        assert pool_sizes == [3]
+
+    def test_second_call_of_the_same_size_starts_no_pool(self, pool_sizes):
+        sweep_task(self.SPEC, ("Heat",), parameter_grid(2), 2, workers=2)
+        kept = evaluation._kept.executor
+        reject_experiment(self.SPEC, ("Heat",), parameter_grid(2), 2, workers=4)
+        sweep_task(self.SPEC, ("Heat",), parameter_grid(2), 1, workers=2)
+        assert pool_sizes == [2]
+        assert evaluation._kept.executor is kept and not kept.shut
+
+    def test_call_of_another_size_replaces_the_pool(self, pool_sizes):
+        sweep_task(self.SPEC, ("Heat",), parameter_grid(2), 2, workers=2)
+        first = evaluation._kept.executor
+        sweep_task(self.SPEC, ("Heat",), parameter_grid(2), 3, workers=3)
+        assert pool_sizes == [2, 3]
+        assert first.shut and not evaluation._kept.executor.shut
+
+    def test_raising_call_discards_the_pool(self, pool_sizes):
+        with pytest.raises(KeyboardInterrupt):
+            with evaluation._pool(2, 2) as pool:
+                raise KeyboardInterrupt
+        assert pool.shut and evaluation._kept is None
+
+
+def _raise_in_job(_):
+    raise RuntimeError("job made to fail")
+
+
+def _sweep_in_child(queue, spec, families, grid):
+    queue.put({name: r.ari for name, r in sweep_task(spec, families, grid, 2, workers=2).items()})
+
+
+class TestKeptPool:
+    """The real kept pool: warm workers give the serial bytes, and a pool
+    that breaks, dies or is inherited by a fork is never reused."""
+
+    SPEC = uniform_spec(16, 2, 0.8, 0.1, seed=6)
+    FAMILIES = ("Heat", "RSP")
+    GRID = parameter_grid(3)
+
+    def sweep(self, workers, graphs=2):
+        result = sweep_task(self.SPEC, self.FAMILIES, self.GRID, graphs, workers=workers)
+        return {name: result[name].ari for name in self.FAMILIES}
+
+    def assert_equal(self, aris, expected):
+        for name in self.FAMILIES:
+            assert np.array_equal(aris[name], expected[name])
+
+    def test_consecutive_pooled_reject_calls_equal_serial(self):
+        families, grid = TestRejectExperiment.FAMILIES, TestRejectExperiment.GRID
+        serial = reject_experiment(OVERFLOW_SPEC, families, grid, 4, workers=1)
+        first = reject_experiment(OVERFLOW_SPEC, families, grid, 4, workers=2)
+        kept = evaluation._kept
+        second = reject_experiment(OVERFLOW_SPEC, families, grid, 4, workers=2)
+        assert evaluation._kept is kept and len(kept.workers) == 2
+        for name in families:
+            p, curve = serial[name]
+            for q, other in (first[name], second[name]):
+                assert p == q and curve.auc == other.auc
+                assert np.array_equal(curve.x, other.x) and np.array_equal(curve.y, other.y)
+
+    def test_dead_idle_worker_is_replaced(self):
+        serial = self.sweep(1)
+        self.sweep(2)
+        kept = evaluation._kept
+        victim = next(child for child in multiprocessing.active_children() if child in kept.workers)
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=30)
+        assert victim.exitcode == -signal.SIGKILL
+        self.assert_equal(self.sweep(2), serial)
+        assert evaluation._kept is not kept
+
+    def test_shutdown_pool_joins_the_workers(self):
+        serial = self.sweep(1)
+        self.sweep(2)
+        workers = evaluation._kept.workers
+        assert len(workers) == 2
+        kernelbench.shutdown_pool()
+        assert evaluation._kept is None
+        assert not any(worker.is_alive() for worker in workers)
+        self.assert_equal(self.sweep(2), serial)
+
+    def test_calls_from_threads_run_one_at_a_time(self):
+        # the calls need pools of different sizes, so one running beside the
+        # other would shut the other's pool down under it
+        serial = {graphs: self.sweep(1, graphs) for graphs in (2, 3)}
+
+        def sweeps(graphs):
+            return [self.sweep(graphs, graphs) for _ in range(4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as threads:
+                futures = {graphs: threads.submit(sweeps, graphs) for graphs in (2, 3)}
+                results = {graphs: future.result(timeout=300) for graphs, future in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        for graphs, runs in results.items():
+            for aris in runs:
+                self.assert_equal(aris, serial[graphs])
+
+    def test_raising_job_discards_the_pool(self):
+        with pytest.raises(RuntimeError, match="job made to fail"):
+            with evaluation._pool(2, 2) as pool:
+                list(pool.map(_raise_in_job, range(2)))
+        assert evaluation._kept is None
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            pool.submit(int)
+
+    def test_broken_pool_is_discarded(self):
+        serial = self.sweep(1)
+        with pytest.raises(BrokenProcessPool):
+            with evaluation._pool(2, 2) as pool:
+                list(pool.map(os._exit, [1, 1]))
+        assert evaluation._kept is None
+        self.assert_equal(self.sweep(2), serial)
+
+    def test_forked_child_starts_its_own_pool(self):
+        serial = self.sweep(1)
+        self.sweep(2)
+        kept = evaluation._kept
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=_sweep_in_child,
+                                args=(queue, self.SPEC, self.FAMILIES, self.GRID))
+        child.start()
+        try:
+            aris = queue.get(timeout=120)
+            child.join(timeout=120)
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        self.assert_equal(aris, serial)
+        # the parent's pool and its workers are as they were, and still serve
+        assert evaluation._kept is kept and all(worker.is_alive() for worker in kept.workers)
+        self.assert_equal(self.sweep(2), serial)
+        assert evaluation._kept is kept
+
+    def test_no_worker_outlives_its_interpreter(self):
+        code = ("import multiprocessing\n"
+                "from kernelbench import parameter_grid, sweep_task, uniform_spec\n"
+                "sweep_task(uniform_spec(16, 2, 0.8, 0.1, seed=6), ('Heat',), parameter_grid(2), 2,"
+                " workers=2)\n"
+                "print(' '.join(str(p.pid) for p in multiprocessing.active_children()))\n")
+        src = str(Path(kernelbench.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, env=env, check=True)
+        pids = [int(pid) for pid in out.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 def _openblas_threads_in_job(_):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import adjusted_rand_index, ward_cuts
+from .config import check_count
 from .datasets import load_dataset
 from .errors import DatasetMissing, KernelBenchError
 from .evaluation import (
@@ -513,7 +514,10 @@ def select_criteria(only=None) -> list[str]:
 
 def run_acceptance(only=None, seed: int = DEFAULT_SEED, workers: int = 1,
                    log=None) -> list[CriterionResult]:
-    """Run the selected criteria, printing one status line per criterion."""
+    """Run the selected criteria, printing one status line per criterion.
+    ``seed`` and ``workers`` are checked as a config's are, before any
+    criterion runs."""
+    seed, workers = check_count("seed", seed), check_count("workers", workers)
     results = []
     for name in select_criteria(only):
         try:

@@ -53,7 +53,9 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigInvalid(message)
 
 
-def _count(key: str, value) -> int:
+def check_count(key: str, value) -> int:
+    """``value`` if it is an integer of at least the least value of the
+    setting ``key`` (seed, workers, grid or graphs); else ConfigInvalid."""
     # bool is an int subclass, so YAML's true/false would pass as 1/0
     _require(isinstance(value, int) and not isinstance(value, bool) and value >= _LEAST[key],
              f"'{key}' must be an integer >= {_LEAST[key]}")
@@ -112,11 +114,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         # fails instead of getting a value no config set
         return parse(key, raw.get(key, default)) if key in KIND_KEYS[kind] else None
 
-    seed = setting("seed", 1, _count)
-    grid_size = setting("grid", 55 if kind == "datasets" else 50, _count)
-    graphs = setting("graphs", 50, _count)
+    seed = setting("seed", 1, check_count)
+    grid_size = setting("grid", 55 if kind == "datasets" else 50, check_count)
+    graphs = setting("graphs", 50, check_count)
     statistic = setting("statistic", "max", _statistic)
-    workers = setting("workers", 1, _count)
+    workers = setting("workers", 1, check_count)
 
     tasks_raw = raw.get("tasks", ())
     _require(isinstance(tasks_raw, (list, tuple)) and len(tasks_raw) > 0,

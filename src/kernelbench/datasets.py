@@ -193,6 +193,8 @@ def _load_edgelist(path: Path) -> Graph:
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise ParseError(f"{path.name}:{lineno}: {exc}") from None
+        if u == v:
+            raise ParseError(f"{path.name}:{lineno}: self-loop on node {u}")
         for node in (u, v):
             if node not in node_index:
                 node_index[node] = len(node_index)
@@ -203,8 +205,6 @@ def _load_edgelist(path: Path) -> Graph:
         raise ParseError(f"{path.name}: no edges")
     adjacency = np.zeros((n, n), dtype=np.float64)
     for i, j, w in edges:
-        if i == j:
-            raise ParseError(f"{path.name}: self-loop on node {i}")
         adjacency[i, j] = adjacency[j, i] = w
 
     raw = []

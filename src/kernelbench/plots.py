@@ -31,13 +31,13 @@ def _text(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def write_curves_svg(path: str | Path, curves, title: str, xlabel: str,
-                     ylabel: str, y_range=(0.0, 1.0), slots=None) -> Path:
-    """Write labeled polyline curves to ``path``.
+def write_curves_svg(path: str | Path, xs, curves, title: str, xlabel: str,
+                     ylabel: str, y_range) -> Path:
+    """Write labeled polyline curves over one x grid to ``path``.
 
-    ``curves`` is a sequence of (label, x_array, y_array) with x in [0, 1].
-    ``slots`` gives each curve's palette position (default: its index), so
-    that a curve keeps its colour when a curve before it is left out.
+    ``xs`` is the grid every curve is drawn on, with x in [0, 1].  ``curves``
+    is a sequence of (label, y_array) in palette order; a y_array of None
+    draws nothing, and the curves after it keep the colours of their places.
     """
     path = Path(path)
     y0, y1 = float(y_range[0]), float(y_range[1])
@@ -92,21 +92,15 @@ def write_curves_svg(path: str | Path, curves, title: str, xlabel: str,
         f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.0f})">{_text(ylabel)}</text>'
     )
 
-    if slots is None:
-        slots = range(len(curves))
     # A curve's points take one % call over Python floats, which format
-    # faster than numpy scalars, on rows whose x is already filled in.  The
-    # rows are made again only when a curve's x differs in any bit from the
-    # last curve's (-0.0 prints apart from 0.0).
-    grid = None
-    for idx, ((label, xs, ys), slot) in enumerate(zip(curves, slots)):
+    # faster than numpy scalars, on rows whose x is already filled in.
+    xs = np.asarray(xs, dtype=np.float64)
+    data_rows = ";".join(["%.6g,%%.6g" % x for x in xs.tolist()])
+    pts_rows = " ".join(["%.2f,%%.2f" % x for x in sx(xs).tolist()])
+    drawn = [(slot, label, ys) for slot, (label, ys) in enumerate(curves) if ys is not None]
+    for idx, (slot, label, ys) in enumerate(drawn):
         color = PALETTE[slot % len(PALETTE)]
-        xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        if xs.tobytes() != grid:
-            grid = xs.tobytes()
-            data_rows = ";".join(["%.6g,%%.6g" % x for x in xs.tolist()])
-            pts_rows = " ".join(["%.2f,%%.2f" % x for x in sx(xs).tolist()])
         data = data_rows % tuple(ys.tolist())
         lines.append(f"<!-- data {label}: {data} -->")
         pts = pts_rows % tuple(sy(ys).tolist())

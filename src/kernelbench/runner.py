@@ -70,7 +70,7 @@ def _write_tournament(path: Path, families, tasks, scores: np.ndarray) -> None:
 
 
 def _mean_curves(families, sweeps):
-    return [(name, sweeps[name].grid, sweeps[name].ari.mean(axis=0)) for name in families]
+    return [(name, sweeps[name].ari.mean(axis=0)) for name in families]
 
 
 def _safe(name: str) -> str:
@@ -126,7 +126,7 @@ def _run_sweep(cfg, grid, out):
             p, ari = best_of_grid(sweeps[name])
             best_rows.append((spec.name, name, _fnum(p), _fnum(ari)))
         write_curves_svg(
-            out / f"sweep_{_safe(spec.name)}.svg",
+            out / f"sweep_{_safe(spec.name)}.svg", grid,
             _mean_curves(cfg.families, sweeps),
             title=f"mean ARI vs parameter: {spec.name}",
             xlabel="normalized parameter", ylabel="mean ARI",
@@ -145,21 +145,19 @@ def _run_reject(cfg, grid, out):
     template = "".join(f"{{family}},{_fnum(x)},%.10g\r\n" for x in REJECT_XS.tolist())
     for spec in cfg.tasks:
         averaged = reject_experiment(spec, cfg.families, grid, cfg.graphs_per_task, cfg.workers)
-        curves, slots = [], []
-        for slot, name in enumerate(cfg.families):
+        curves = []
+        for name in cfg.families:
             p, curve = averaged[name]
             # a family that errored on every graph has no curve
             auc = np.nan if curve is None else curve.auc
             best_rows.append((spec.name, name, _fnum(p), _fnum(auc)))
-            if curve is None:
-                continue
-            curves.append((name, curve.x, curve.y))
-            slots.append(slot)
-            reject_rows.append(template.replace("{family}", name) % tuple(curve.y.tolist()))
+            curves.append((name, None if curve is None else curve.y))
+            if curve is not None:
+                reject_rows.append(template.replace("{family}", name) % tuple(curve.y.tolist()))
         write_curves_svg(
-            out / f"reject_{_safe(spec.name)}.svg", curves,
+            out / f"reject_{_safe(spec.name)}.svg", REJECT_XS, curves,
             title=f"average reject curves: {spec.name}",
-            xlabel="inter-class share", ylabel="intra-class share", slots=slots,
+            xlabel="inter-class share", ylabel="intra-class share", y_range=(0.0, 1.0),
         )
     (out / "reject.csv").write_text("".join(reject_rows), newline="")
     _write_csv(out / "best_params.csv", ("task", "family", "param", "auc"), best_rows)

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -98,27 +101,20 @@ def sbm_graph():
     return generate(uniform_spec(40, 2, 0.7, 0.1, seed=99), 0)
 
 
-def write_zachary_gml(path):
-    """Karate club GML with faction-split labels (node 8 with the officers)."""
-    import networkx as nx
-
-    graph = nx.karate_club_graph()
-    labels = {i: (0 if graph.nodes[i]["club"] == "Mr. Hi" else 1) for i in graph.nodes}
-    labels[8] = 1
-    lines = ["graph [", "  directed 0"]
-    for i in sorted(graph.nodes):
-        lines += ["  node [", f"    id {i}", f'    label "{i}"',
-                  f"    value {labels[i]}", "  ]"]
-    for u, v in sorted(graph.edges):
-        lines += ["  edge [", f"    source {u}", f"    target {v}", "  ]"]
-    lines.append("]")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+def fetch_datasets():
+    """``scripts/fetch_datasets.py``, imported by path."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "fetch_datasets.py"
+    spec = importlib.util.spec_from_file_location("fetch_datasets", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")
 def zachary_root(tmp_path_factory):
+    """A data directory holding zachary.gml as users make it: the fetch
+    script's offline mode, which synthesizes it from networkx."""
     pytest.importorskip("networkx")
     root = tmp_path_factory.mktemp("data")
-    write_zachary_gml(root / "zachary.gml")
+    assert fetch_datasets().main(["--root", str(root), "--skip-download"]) == 0
     return root

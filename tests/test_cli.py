@@ -537,6 +537,13 @@ class TestCliMain:
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    def test_run_config_with_a_yaml_syntax_error(self, tmp_path, capsys):
+        path = _write_cfg(tmp_path, "kind: sweep\nfamilies: [Heat, SP-CT\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: exp.cfg: while parsing a flow sequence")
+        assert "Traceback" not in err
+
     def test_run_out_that_is_a_file(self, tmp_path, capsys, monkeypatch):
         # the output directory is made before any cell runs
         evaluated = []
@@ -620,6 +627,14 @@ class TestCliMain:
 
     def test_verify_only_unknown(self, capsys):
         assert main(["verify", "--only", "A9"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--workers", "-2")])
+    def test_verify_bad_flag_rejected_before_any_criterion(self, capsys, flag, value):
+        # verify's flags follow the config file's rules, as run's do
+        assert main(["verify", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: '{flag[2:]}' must be an integer >= 0\n"
+        assert captured.out == ""
 
     def test_verify_skips_missing_dataset(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KERNELBENCH_DATA", str(tmp_path))

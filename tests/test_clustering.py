@@ -100,6 +100,9 @@ class TestWardCluster:
             ward_cluster(sq, 0)
         with pytest.raises(InvalidK):
             ward_cluster(sq, 5)
+        for k in (0, 5):
+            with pytest.raises(InvalidK, match=f"need 1 <= k <= 4, got {k}"):
+                cut_dendrogram(ward_linkage(sq), k)
 
     def test_malformed_inputs(self):
         with pytest.raises(MalformedDistance):
@@ -112,6 +115,8 @@ class TestWardCluster:
             ward_cluster(bad, 2)
         with pytest.raises(MalformedDistance):
             ward_cluster(np.zeros((2, 3)), 1)
+        with pytest.raises(MalformedDistance, match="need a zero diagonal"):
+            ward_cluster(np.array([[1.0, 1.0], [1.0, 0.0]]), 1)
 
     def test_tiny_negative_clamped(self):
         sq = _two_blocks(2, 2)

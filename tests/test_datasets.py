@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from kernelbench.errors import (
     NotFound,
     ParseError,
 )
+
+from conftest import fetch_datasets
 
 P3_GML = """
 Creator "test"
@@ -76,6 +80,24 @@ class TestGml:
         path.write_text('graph [ node [ id 0 value 0 ] node [ id 1 value 1 ] '
                         f'edge [ source 0 target 1 weight {weight} ] ]')
         with pytest.raises(ParseError, match=r"x\.gml: edge \(0,1\)"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("graph [ node [ id 0 value 0 ] ] ]", r"unexpected '\]' at token 10"),
+        ("[ graph [ node [ id 0 value 0 ] ] ]", r"unexpected '\[' at token 0"),
+        ("graph [ node [ id 0 value 0 ] ] creator", "key 'creator' has no value"),
+        ('creator "test"', r"x\.gml: no 'graph \[\.\.\.\]' section"),
+        ("graph [ node [ label 0 value 0 ] ]", r"x\.gml: node without id"),
+        ("graph [ directed 0 ]", r"x\.gml: no nodes"),
+        ("graph [ node [ id 0 value 0 ] node [ id 5 value 1 ] "
+         "edge [ source 0 target 5 ] edge [ source 5 target 5 ] ]",
+         r"x\.gml: self-loop on node 5"),
+    ], ids=["stray-close", "stray-open", "key-without-value", "no-graph",
+            "node-without-id", "no-nodes", "self-loop"])
+    def test_malformed_file(self, tmp_path, text, match):
+        path = tmp_path / "x.gml"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=match):
             load_graph(path)
 
     def test_duplicate_node_id(self, tmp_path):
@@ -153,6 +175,18 @@ class TestEdgeList:
         with pytest.raises(DatasetMissing):
             load_graph(tmp_path / "none.edges")
 
+    @pytest.mark.parametrize("edges, labels, match", [
+        ("0 1\n1 a\n", "0\n1\n", r"g\.edges:2: invalid literal"),
+        ("# no edges\n\n", "", r"g\.edges: no edges"),
+        ("0 1\n", "0\nright\n", r"g\.labels:2: labels must be integers"),
+        ("5 6\n6 7\n7 7\n", "0\n0\n1\n", r"g\.edges:3: self-loop on node 7"),
+    ], ids=["non-integer-node", "no-edges", "non-integer-label", "self-loop"])
+    def test_malformed_file(self, tmp_path, edges, labels, match):
+        (tmp_path / "g.edges").write_text(edges)
+        (tmp_path / "g.labels").write_text(labels)
+        with pytest.raises(ParseError, match=match):
+            load_graph(tmp_path / "g.edges")
+
 
 class TestRegistry:
     def test_nine_datasets(self):
@@ -187,6 +221,15 @@ class TestRegistry:
         with pytest.raises(ParseError):
             load_dataset("zachary")
 
+    def test_class_count_mismatch_aborts(self, tmp_path, monkeypatch):
+        # zachary's 34 nodes on a path, in three classes where two are expected
+        nodes = " ".join(f"node [ id {i} value {i % 3} ]" for i in range(34))
+        edges = " ".join(f"edge [ source {i} target {i + 1} ]" for i in range(33))
+        (tmp_path / "zachary.gml").write_text(f"graph [ {nodes} {edges} ]")
+        monkeypatch.setenv("KERNELBENCH_DATA", str(tmp_path))
+        with pytest.raises(ParseError, match="zachary: 3 classes, descriptor expects 2"):
+            load_dataset("zachary")
+
 
 class TestZachary:
     def test_loads_with_expected_shape(self, zachary_root, monkeypatch):
@@ -201,3 +244,20 @@ class TestZachary:
         monkeypatch.setenv("KERNELBENCH_DATA", str(zachary_root))
         g = load_dataset("zachary")
         assert g.n == 34
+
+    def test_fetch_script_offline_mode(self, tmp_path, capsys):
+        # --skip-download synthesizes zachary.gml, records its sha256 on the
+        # first run, checks it on later ones, and fails on a changed file
+        pytest.importorskip("networkx")
+        script = fetch_datasets()
+        argv = ["--root", str(tmp_path), "--skip-download"]
+        gml = tmp_path / "zachary.gml"
+        assert script.main(argv) == 0
+        assert "recorded sha256" in capsys.readouterr().out
+        digest = hashlib.sha256(gml.read_bytes()).hexdigest()
+        assert (tmp_path / "CHECKSUMS.sha256").read_text() == f"{digest}  zachary.gml\n"
+        assert script.main(argv) == 0
+        assert "checksum ok for zachary.gml" in capsys.readouterr().out
+        gml.write_text(gml.read_text().replace("value 1", "value 0", 1))
+        assert script.main(argv) == 1
+        assert "CHECKSUM MISMATCH for zachary.gml" in capsys.readouterr().err

@@ -73,6 +73,10 @@ class TestBuildGraph:
         with pytest.raises(LabelOutOfRange):
             build_graph(np.zeros((2, 2)), [0.5, 1.0])
 
+    def test_num_classes_needs_labels(self, p3):
+        with pytest.raises(LabelOutOfRange, match="no class labels"):
+            p3.num_classes
+
     def test_adjacency_read_only(self, p3):
         with pytest.raises(ValueError):
             p3.adjacency[0, 1] = 5.0

@@ -320,6 +320,12 @@ def _rsp_fe(g, beta, variant):
 
 
 class TestRspFe:
+    @pytest.mark.parametrize("name", ["RSP", "FE"])
+    def test_single_node_zero_degree(self, name):
+        ev = FamilyEvaluator(build_graph(np.zeros((1, 1))))
+        with pytest.raises(ZeroDegree, match=f"{name} needs all degrees positive"):
+            ev.matrix(name, 0.5)
+
     def test_k2_symmetric_zero_diagonal(self, k2):
         for variant in ("RSP", "FE"):
             for beta in (0.1, 1.0, 10.0):

@@ -52,6 +52,14 @@ class TestSymEigen:
         with pytest.raises(NotConverged):
             sym_eigen(np.array([[0, 1], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("m, match", [
+        (np.zeros((2, 3)), r"must be square, got \(2, 3\)"),
+        (np.full((3, 3), np.nan), "eigendecomposition failed"),
+    ], ids=["non-square", "nan"])
+    def test_bad_input_raises(self, m, match):
+        with pytest.raises(NotConverged, match=match):
+            sym_eigen(m)
+
 
 class TestMatrixExp:
     def test_zero_matrix(self):
@@ -103,6 +111,14 @@ class TestSolveLinear:
     def test_singular_raises(self):
         with pytest.raises(Singular):
             solve_linear(np.zeros((3, 3)), np.eye(3))
+
+    def test_ill_conditioned_residual_raises(self):
+        # the 12x12 Hilbert matrix factors, but its solve misses B by far more
+        # than 1e-8 * ||B||_max
+        i = np.arange(12)
+        hilbert = 1.0 / (i[:, None] + i[None, :] + 1.0)
+        with pytest.raises(Singular, match=r"residual .* exceeds 1e-8 \* 1$"):
+            solve_linear(hilbert, np.eye(12))
 
     def test_numerically_singular_raises(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-17]])

@@ -402,7 +402,7 @@ def criterion_a6(seed: int, workers: int) -> CriterionResult:
     # cutpoint additivity of the logFor-induced distance on a path
     ev3 = FamilyEvaluator(_p3())
     for t in np.geomspace(0.05, 20.0, 10):
-        d = proximity_to_distance(ev3.matrix("logFor", float(t / (1.0 + t)))).matrix
+        d = proximity_to_distance(ev3.matrix("logFor", t / (1.0 + t))).matrix
         if abs(d[0, 1] + d[1, 2] - d[0, 2]) > 1e-8:
             checks.append(f"logFor cutpoint additivity fails at t={t:g}")
 
@@ -472,9 +472,9 @@ def criterion_a7(seed: int, workers: int) -> CriterionResult:
                     f"FE-(SP+c/beta) {residual:.1e}")
         for variant in ("RSP", "FE"):
             for p in parameter_grid(50):
-                delta = ev.matrix(variant, float(p)).matrix
+                delta = ev.matrix(variant, p).matrix
                 if (delta - sp).min() < -1e-8:
-                    grid_beta = ev.raw_parameter(variant, float(p))
+                    grid_beta = ev.raw_parameter(variant, p)
                     checks.append(f"{variant} below shortest path at beta={grid_beta:.3g} on {tag}")
                     break
     ok = not checks

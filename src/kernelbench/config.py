@@ -158,8 +158,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigInvalid(f"no such config file: {path}")
     try:
         raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_Loader)
-    except yaml.YAMLError as exc:
-        raise ConfigInvalid(f"{path.name}: {exc}") from None
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        context = f"{exc.context}: " if exc.context else ""
+        raise ConfigInvalid(f"{path.name}: {context}{exc.problem} "
+                            f"(line {mark.line + 1}, column {mark.column + 1})") from None
+    except yaml.reader.ReaderError as exc:
+        raise ConfigInvalid(f"{path.name}: {exc.reason}: #x{exc.character:04x} "
+                            f"(position {exc.position})") from None
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config file {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

@@ -30,7 +30,13 @@ from multiprocessing import active_children, parent_process
 import numpy as np
 
 from .clustering import adjusted_rand_indices, ward_cuts
-from .errors import DegenerateLabels, KernelBenchError, ParameterOutOfRange
+from .errors import (
+    DegenerateLabels,
+    KernelBenchError,
+    LengthMismatch,
+    MalformedDistance,
+    ParameterOutOfRange,
+)
 from .families import DistanceMatrix
 from .generators import BlockModelSpec, generate
 from .graph import Graph
@@ -149,7 +155,7 @@ def _graph_cells(args):
     for j, p in enumerate(grid):
         for fi, name in enumerate(families):
             try:
-                measure = evaluator.matrix(name, float(p))
+                measure = evaluator.matrix(name, p)
                 stack[len(pending)] = clustering_sqdist(measure)
                 pending.append((fi, j))
             except KernelBenchError as exc:
@@ -341,7 +347,11 @@ def reject_curve(dist: DistanceMatrix | np.ndarray, labels) -> RejectCurve:
     """
     m = dist.matrix if isinstance(dist, DistanceMatrix) else np.asarray(dist, float)
     labels = np.asarray(labels)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise MalformedDistance(f"distances must be square, got {m.shape}")
     n = m.shape[0]
+    if labels.shape != (n,):
+        raise LengthMismatch(f"labels of shape {labels.shape} for {n} nodes")
     iu, ju = np.triu_indices(n, 1)
     values = m[iu, ju]
     intra = labels[iu] == labels[ju]

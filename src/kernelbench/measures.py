@@ -13,7 +13,7 @@ shortest-path with resistance distances.
 pseudoinverse, shortest paths) so sweeping a parameter grid only pays for
 the per-parameter recombination.  Its ``matrix(name, p)`` is the one way to
 build a family's matrix: ``raw_parameter`` checks the normalized parameter
-and maps it to the native one, so the constructions take a native
+and maps it to the native one, a float, so the constructions take a native
 parameter already in range.
 """
 
@@ -165,20 +165,20 @@ class FamilyEvaluator:
     # -- family dispatch ---------------------------------------------------
 
     def raw_parameter(self, name: str, p: float) -> float:
-        """Map a normalized parameter p in [0, 1] to the family's native one."""
+        """Map a normalized parameter p in [0, 1] to the family's native float."""
         scaling = family(name)
-        if not (0.0 <= p <= 1.0) or not np.isfinite(p):
+        if not (0.0 <= p <= 1.0):
             raise ParameterOutOfRange(f"normalized parameter must be in [0, 1], got {p!r}")
         if scaling == SPECTRAL:
             if p == 0.0:
                 raise ParameterOutOfRange(f"{name}: p = 0 leaves the open interval (0, 1/rho)")
             rho = self.spectral_radius
-            return p * (1.0 - WALK_MARGIN) / rho if rho > 0.0 else p
+            return float(p * (1.0 - WALK_MARGIN) / rho if rho > 0.0 else p)
         if scaling == RATIO:
             if p == 0.0 or p == 1.0:
                 raise ParameterOutOfRange(f"{name}: p on the open interval (0, 1) only")
-            return p / (1.0 - p)
-        return p
+            return float(p / (1.0 - p))
+        return float(p)
 
     def matrix(self, name: str, p: float) -> ProximityMatrix | DistanceMatrix:
         """Evaluate family ``name`` at normalized parameter ``p``.
@@ -217,16 +217,16 @@ class FamilyEvaluator:
         if name in ("RSP", "FE"):
             return self._rsp_fe(t, name)
         if name == "SP-CT":
-            blend = (1.0 - p) * self.sp_matrix + p * self.resistance_matrix
-            return distance_matrix(blend, "SP-CT", p)
+            blend = (1.0 - t) * self.sp_matrix + t * self.resistance_matrix
+            return distance_matrix(blend, "SP-CT", t)
         raise AssertionError(f"unhandled family {name}")  # pragma: no cover
 
     def _keep(self, key, build):
         """The value kept under ``key``, else ``build()``'s, made read-only.
 
-        One value is kept until the next call, which takes it if its key is
-        the same: a plain kernel and its log family at one t, or RSP and FE
-        at one beta, build it once, and no kept value outlives its use.
+        Keys are (name, native parameter) tuples; the next call takes the
+        one kept value if its key is the same, so a plain kernel and its log
+        family at one t, or RSP and FE at one beta, build it once.
         """
         kept, self._kept = self._kept, None
         if kept is not None and kept[0] == key:
@@ -253,7 +253,7 @@ class FamilyEvaluator:
     def _rsp_fe(self, beta: float, variant: str) -> DistanceMatrix:
         if np.any(self.degrees <= 0.0):
             raise ZeroDegree(f"{variant} needs all degrees positive")
-        w, z = self._keep(beta, lambda: self._fundamental(beta, variant))
+        w, z = self._keep(("RSP/FE", beta), lambda: self._fundamental(beta, variant))
         costs = self.edge_costs
         if variant == "RSP":
             s = (z @ (costs * w) @ z) / z

@@ -332,6 +332,14 @@ class TestConfig:
         assert [t.name for t in cfg.tasks] == [
             "G(100,(2)0.3,0.1)", "unequal(10,90)", "blocks3x4"]
 
+    def test_readme_quickstart_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        names = {}
+        exec(block, names)
+        assert names["ari"].shape == (1, 50)
+        assert 0.0 <= names["curve"].auc <= 1.0
+
     def test_committed_configs_parse(self):
         paths = sorted(CONFIGS.glob("*.cfg"))
         assert {"table1.cfg", "complicated.cfg"} <= {path.name for path in paths}
@@ -543,6 +551,16 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert err.startswith("error: exp.cfg: while parsing a flow sequence")
         assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.endswith(" (line 3, column 1)\n")
+
+    @pytest.mark.parametrize("text, want", [
+        ("a: b: c\n", "error: exp.cfg: mapping values are not allowed here (line 1, column 5)\n"),
+        ("kind: sw\x07eep\n",
+         "error: exp.cfg: special characters are not allowed: #x0007 (position 8)\n"),
+    ], ids=["scanner", "control-character"])
+    def test_run_config_yaml_error_on_one_line(self, tmp_path, capsys, text, want):
+        assert main(["run", str(_write_cfg(tmp_path, text))]) == 2
+        assert capsys.readouterr().err == want
 
     def test_run_out_that_is_a_file(self, tmp_path, capsys, monkeypatch):
         # the output directory is made before any cell runs

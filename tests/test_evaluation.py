@@ -11,11 +11,25 @@ import numpy as np
 import pytest
 
 import kernelbench
-from kernelbench import FAMILY_NAMES, block_model_spec, evaluation, generate, uniform_spec
+from kernelbench import (
+    FAMILY_NAMES,
+    block_model_spec,
+    build_graph,
+    evaluation,
+    generate,
+    uniform_spec,
+)
 from kernelbench.acceptance import auc_mannwhitney_oracle
 from kernelbench.cli import main
 from kernelbench.config import config_from_dict
-from kernelbench.errors import ConfigInvalid, DegenerateLabels, KernelBenchError, ParameterOutOfRange
+from kernelbench.errors import (
+    ConfigInvalid,
+    DegenerateLabels,
+    KernelBenchError,
+    LengthMismatch,
+    MalformedDistance,
+    ParameterOutOfRange,
+)
 from kernelbench.evaluation import (
     RejectCurve,
     Statistic,
@@ -293,6 +307,16 @@ class TestRejectCurve:
             reject_curve(d, np.zeros(3, dtype=int))
         with pytest.raises(DegenerateLabels):
             reject_curve(d, np.arange(3))
+
+    @pytest.mark.parametrize("shape, labels, error", [
+        ((3, 3), [0, 1, 1, 0], LengthMismatch),
+        ((3, 3), [0, 1], LengthMismatch),
+        ((3, 4), [0, 1, 1], MalformedDistance),
+    ], ids=["labels-beyond-rows", "labels-short-of-rows", "not-square"])
+    def test_malformed_input(self, shape, labels, error):
+        # without one label per row of a square matrix a curve reads part of its input
+        with pytest.raises(error):
+            reject_curve(np.zeros(shape), labels)
 
 
 class TestAverageCurves:
@@ -658,3 +682,24 @@ class TestNodeOrderInvariance:
         auc_a = reject_curve(reject_distance(ev_a.matrix("logComm", 0.5)), g.labels).auc
         auc_b = reject_curve(reject_distance(ev_b.matrix("logComm", 0.5)), permuted.labels).auc
         assert abs(auc_a - auc_b) <= 1e-10
+
+    def test_renumbered_a1_graphs_move_pinned_cells(self):
+        # Graphs 0-2 of A1's task at the 55-point grid, as generated and
+        # renumbered.  Error cells and best-of-grid do not move; the cells
+        # whose ARI does are the float-edge cells (logComm, Heat and logHeat
+        # near the noise floor; SCT, SCCT, RSP and FE at large beta).  A fix
+        # for those lowers the pins.
+        spec = uniform_spec(100, 2, 0.3, 0.1, seed=20240501)
+        graphs = [generate(spec, i) for i in range(3)]
+        perm = np.random.default_rng(100).permutation(100)
+        renumbered = [build_graph(g.adjacency[perm][:, perm], g.labels[perm]) for g in graphs]
+        grid = parameter_grid(55)
+        a = sweep_graphs(graphs, FAMILY_NAMES, grid)
+        b = sweep_graphs(renumbered, FAMILY_NAMES, grid)
+        moved = {}
+        for name in FAMILY_NAMES:
+            assert a[name].errors == b[name].errors
+            assert best_of_grid(a[name]) == best_of_grid(b[name])
+            moved[name] = int(np.count_nonzero(a[name].ari != b[name].ari))
+        assert moved == {**dict.fromkeys(FAMILY_NAMES, 0), "logComm": 8, "Heat": 8,
+                         "logHeat": 6, "SCT": 3, "SCCT": 10, "RSP": 12, "FE": 6}

@@ -200,17 +200,17 @@ class TestLogKernel:
         shared = FamilyEvaluator(g)
         for p in parameter_grid(12):
             for plain, log in (("pWalk", "Walk"), ("For", "logFor"), ("Heat", "logHeat")):
-                kernel = shared.matrix(plain, float(p)).matrix
+                kernel = shared.matrix(plain, p).matrix
                 assert not kernel.flags.writeable
-                fresh = FamilyEvaluator(g).matrix(plain, float(p)).matrix
+                fresh = FamilyEvaluator(g).matrix(plain, p).matrix
                 assert np.array_equal(kernel, fresh)
                 try:
-                    expected = FamilyEvaluator(g).matrix(log, float(p)).matrix
+                    expected = FamilyEvaluator(g).matrix(log, p).matrix
                 except NonPositiveEntry:
                     with pytest.raises(NonPositiveEntry):
-                        shared.matrix(log, float(p))
+                        shared.matrix(log, p)
                 else:
-                    assert np.array_equal(shared.matrix(log, float(p)).matrix, expected)
+                    assert np.array_equal(shared.matrix(log, p).matrix, expected)
 
 
 class TestCommuteTime:
@@ -350,7 +350,7 @@ class TestRspFe:
         ev = FamilyEvaluator(sbm_graph)
         for p in np.linspace(0.02, 0.98, 9):
             for variant in ("RSP", "FE"):
-                d = ev.matrix(variant, float(p)).matrix
+                d = ev.matrix(variant, p).matrix
                 assert (d - sp).min() >= -1e-8
 
     def test_disconnected(self):
@@ -369,13 +369,13 @@ class TestRspFe:
         for j, p in enumerate(parameter_grid(55)):
             for name in orders[j % 4]:
                 try:
-                    expected = FamilyEvaluator(g).matrix(name, float(p)).matrix
+                    expected = FamilyEvaluator(g).matrix(name, p).matrix
                 except NonPositiveEntry:
                     with pytest.raises(NonPositiveEntry):
-                        shared.matrix(name, float(p))
+                        shared.matrix(name, p)
                     failed[name].append(j)
                 else:
-                    assert np.array_equal(shared.matrix(name, float(p)).matrix, expected)
+                    assert np.array_equal(shared.matrix(name, p).matrix, expected)
         assert failed == {"RSP": [54], "FE": [54]}
 
 
@@ -408,7 +408,7 @@ class TestKeptResult:
         for name in FAMILY_NAMES:
             for p in parameter_grid(4):
                 try:
-                    ev.matrix(name, float(p))
+                    ev.matrix(name, p)
                 except KernelBenchError:
                     pass
         assert calls == {"spectral_apply": 31, "solve_linear": 9}
@@ -508,6 +508,13 @@ class TestFamilyDispatch:
             FamilyEvaluator(sbm_graph).matrix("Heat", -0.1)
         with pytest.raises(ParameterOutOfRange):
             FamilyEvaluator(sbm_graph).matrix("SP-CT", 1.5)
+        # NaN and +-inf fail the range comparison itself, as Python or numpy floats
+        ev = FamilyEvaluator(sbm_graph)
+        for bad in (math.nan, math.inf, -math.inf):
+            for p in (bad, np.float64(bad)):
+                for name in ("pWalk", "Heat", "SP-CT"):
+                    with pytest.raises(ParameterOutOfRange):
+                        ev.matrix(name, p)
 
     def test_disconnected_graph_rejected(self):
         with pytest.raises(Disconnected):

@@ -10,7 +10,9 @@ Tournaments reduce each family's grid to one statistic per graph (max or a
 percentile), then award +1/-1 per pairwise win/loss.  Reject curves compare
 inter-class vs intra-class distances directly, independent of clustering.
 
-One per-graph job evaluates every (family, parameter) cell of a graph; the
+A protocol call checks its families, grid and graph count, then makes its
+graphs once, in the calling process; all of its stages read them.  One
+per-graph job evaluates every (family, parameter) cell of a graph; the
 jobs are embarrassingly parallel, every cell runs on one BLAS thread, and
 results are aggregated in a fixed sort order, so outputs are identical for
 any worker count.  Pooled calls of one size reuse one kept process pool, so
@@ -37,9 +39,8 @@ from .errors import (
     MalformedDistance,
     ParameterOutOfRange,
 )
-from .families import DistanceMatrix
+from .families import DistanceMatrix, family
 from .generators import BlockModelSpec, generate
-from .graph import Graph
 from .measures import FamilyEvaluator
 from .transforms import clustering_sqdist, reject_distance
 
@@ -110,19 +111,6 @@ class RejectCurve:
     auc: float
 
 
-def _samples(spec: BlockModelSpec, n_graphs: int) -> list:
-    return [(spec, i) for i in range(n_graphs)]
-
-
-def _source_graph(source) -> Graph:
-    """A graph source is a Graph, or a (spec, index) sample; generating it
-    inside the job lets pool workers, not the parent, pay for it."""
-    if isinstance(source, Graph):
-        return source
-    spec, index = source
-    return generate(spec, index)
-
-
 def _graph_cells(args):
     """Every (family, parameter) cell of one graph.
 
@@ -132,8 +120,7 @@ def _graph_cells(args):
     matrix.  The Ward inputs are clustered in stacks of up to STACK_ENTRIES
     entries; ``clustering_sqdist`` is their one check.
     """
-    source, families, grid = args
-    g = _source_graph(source)
+    g, families, grid = args
     evaluator = FamilyEvaluator(g)
     k = g.num_classes
     table = np.empty((len(families), grid.shape[0]))
@@ -142,14 +129,9 @@ def _graph_cells(args):
     pending = []
 
     def cluster_pending():
-        try:
-            labels = ward_cuts(stack[:len(pending)], k)
-            for (fi, j), score in zip(pending, adjusted_rand_indices(labels, g.labels)):
-                table[fi, j] = score
-        except KernelBenchError as exc:
-            for fi, j in pending:
-                table[fi, j] = -1.0
-                errors.append((fi, j, type(exc).__name__))
+        labels = ward_cuts(stack[:len(pending)], k)
+        for (fi, j), score in zip(pending, adjusted_rand_indices(labels, g.labels)):
+            table[fi, j] = score
         pending.clear()
 
     for j, p in enumerate(grid):
@@ -282,12 +264,24 @@ def _run_jobs(fn, jobs, pool):
     return list(map(fn, jobs) if pool is None else pool.map(fn, jobs))
 
 
-def _sweep_sources(sources, families, grid, pool) -> dict[str, SweepResult]:
-    """Run the per-graph job on each graph source; reduce to one SweepResult
-    per family, graphs in source order."""
-    grid = np.asarray(grid, dtype=np.float64)
+def _checked_inputs(families, grid, n_graphs: int) -> tuple[list, np.ndarray]:
+    """A protocol call's families as a list and its grid as float64.  An
+    unknown family raises NotFound, and no graph or no grid point raises
+    ParameterOutOfRange, before any graph is made or any job runs."""
     families = list(families)
-    jobs = [(source, families, grid) for source in sources]
+    for name in families:
+        family(name)
+    grid = np.asarray(grid, dtype=np.float64)
+    if n_graphs < 1 or grid.size == 0:
+        raise ParameterOutOfRange("a protocol call needs a graph and a grid point, "
+                                  f"got {n_graphs} graphs and {grid.size} points")
+    return families, grid
+
+
+def _sweep_sources(graphs, families, grid, pool) -> dict[str, SweepResult]:
+    """Run the per-graph job on each graph; reduce to one SweepResult per
+    family, graphs in list order."""
+    jobs = [(g, families, grid) for g in graphs]
     tables = np.empty((len(families), len(jobs), grid.shape[0]))
     errors = []
     for gi, (table, errs) in enumerate(_run_jobs(_graph_cells, jobs, pool)):
@@ -304,12 +298,15 @@ def _sweep_sources(sources, families, grid, pool) -> dict[str, SweepResult]:
 def sweep_task(spec: BlockModelSpec, families, grid, n_graphs: int,
                workers: int = 1) -> dict[str, SweepResult]:
     """Sweep every family over ``n_graphs`` samples of one block model task."""
+    families, grid = _checked_inputs(families, grid, n_graphs)
+    graphs = [generate(spec, i) for i in range(n_graphs)]
     with _pool(workers, n_graphs) as pool:
-        return _sweep_sources(_samples(spec, n_graphs), families, grid, pool)
+        return _sweep_sources(graphs, families, grid, pool)
 
 
 def sweep_graphs(graphs, families, grid) -> dict[str, SweepResult]:
     """Sweep every family over an explicit list of labeled graphs, serially."""
+    families, grid = _checked_inputs(families, grid, len(graphs))
     with _pool(1, 1) as pool:
         return _sweep_sources(graphs, families, grid, pool)
 
@@ -403,11 +400,10 @@ def _ys_on_grid(inter: np.ndarray, intra: np.ndarray) -> np.ndarray:
 
 
 def _graph_reject_job(args):
-    """Reject curves of one graph source at fixed per-family parameters, each
+    """Reject curves of one graph at fixed per-family parameters, each
     sampled on the averaging grid, or None where the family errors or the
     graph lacks intra-class or inter-class pairs."""
-    source, family_params = args
-    g = _source_graph(source)
+    g, family_params = args
     iu, ju = np.triu_indices(g.n, 1)
     intra = g.labels[iu] == g.labels[ju]
     if intra.all() or not intra.any():
@@ -432,11 +428,12 @@ def reject_experiment(spec: BlockModelSpec, families, grid, n_graphs: int,
     dropped from that family's average; a family that errors on every graph
     gets None in place of its curve.
     """
-    sources = _samples(spec, n_graphs)
+    families, grid = _checked_inputs(families, grid, n_graphs)
+    graphs = [generate(spec, i) for i in range(n_graphs)]
     with _pool(workers, n_graphs) as pool:
-        sweeps = _sweep_sources(sources, families, grid, pool)
+        sweeps = _sweep_sources(graphs, families, grid, pool)
         family_params = [(name, best_of_grid(sweeps[name])[0]) for name in families]
-        jobs = [(source, family_params) for source in sources]
+        jobs = [(g, family_params) for g in graphs]
         results = _run_jobs(_graph_reject_job, jobs, pool)
     out = {}
     for fi, (name, p) in enumerate(family_params):

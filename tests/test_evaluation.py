@@ -17,6 +17,7 @@ from kernelbench import (
     build_graph,
     evaluation,
     generate,
+    load_dataset,
     uniform_spec,
 )
 from kernelbench.acceptance import auc_mannwhitney_oracle
@@ -28,6 +29,7 @@ from kernelbench.errors import (
     KernelBenchError,
     LengthMismatch,
     MalformedDistance,
+    NotFound,
     ParameterOutOfRange,
 )
 from kernelbench.evaluation import (
@@ -179,6 +181,52 @@ class TestSweep:
         assert chunked_errors == errors
         assert errors == [(1, 6, "NumericalOverflow")]
         assert len(set(table[2])) > 1
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """Counts the graphs a protocol call generates; returns their indices."""
+    indices = []
+    real = evaluation.generate
+
+    def counting(spec, index):
+        indices.append(index)
+        return real(spec, index)
+
+    monkeypatch.setattr(evaluation, "generate", counting)
+    return indices
+
+
+class TestProtocolCall:
+    SPEC = uniform_spec(16, 2, 0.8, 0.1, seed=6)
+    GRID = parameter_grid(3)
+
+    @pytest.mark.parametrize("protocol", [sweep_task, reject_experiment])
+    @pytest.mark.parametrize("families, grid, n_graphs, error", [
+        (("Heat", "Bogus"), GRID, 2, NotFound),
+        (("Heat",), GRID, 0, ParameterOutOfRange),
+        (("Heat",), np.array([]), 2, ParameterOutOfRange),
+    ])
+    def test_inputs_refused_before_any_graph(self, generated, protocol, families, grid,
+                                             n_graphs, error):
+        with pytest.raises(error):
+            protocol(self.SPEC, families, grid, n_graphs)
+        assert generated == []
+
+    @pytest.mark.parametrize("graphs, families, grid, error", [
+        (1, ("Bogus",), GRID, NotFound),
+        (0, ("Heat",), GRID, ParameterOutOfRange),
+        (1, ("Heat",), [], ParameterOutOfRange),
+    ])
+    def test_sweep_graphs_refuses_inputs(self, graphs, families, grid, error):
+        with pytest.raises(error):
+            sweep_graphs([generate(self.SPEC, 0)] * graphs, families, grid)
+
+    @pytest.mark.parametrize("protocol", [sweep_task, reject_experiment])
+    def test_each_graph_generated_once(self, generated, protocol):
+        # the reject stage reads the sweep stage's graphs
+        protocol(self.SPEC, ("Heat", "SP-CT"), self.GRID, 3)
+        assert generated == [0, 1, 2]
 
 
 class TestCopeland:
@@ -683,23 +731,45 @@ class TestNodeOrderInvariance:
         auc_b = reject_curve(reject_distance(ev_b.matrix("logComm", 0.5)), permuted.labels).auc
         assert abs(auc_a - auc_b) <= 1e-10
 
-    def test_renumbered_a1_graphs_move_pinned_cells(self):
-        # Graphs 0-2 of A1's task at the 55-point grid, as generated and
-        # renumbered.  Error cells and best-of-grid do not move; the cells
-        # whose ARI does are the float-edge cells (logComm, Heat and logHeat
-        # near the noise floor; SCT, SCCT, RSP and FE at large beta).  A fix
-        # for those lowers the pins.
-        spec = uniform_spec(100, 2, 0.3, 0.1, seed=20240501)
-        graphs = [generate(spec, i) for i in range(3)]
-        perm = np.random.default_rng(100).permutation(100)
+    @staticmethod
+    def _renumbered_moves(graphs):
+        """Sweeps ``graphs`` at the 55-point grid as given and renumbered by
+        one fixed permutation, and checks that no best-of-grid moves.  Returns
+        per family the number of cells whose ARI moves and the set of error
+        cells found on one side only."""
+        perm = np.random.default_rng(100).permutation(graphs[0].n)
         renumbered = [build_graph(g.adjacency[perm][:, perm], g.labels[perm]) for g in graphs]
         grid = parameter_grid(55)
         a = sweep_graphs(graphs, FAMILY_NAMES, grid)
         b = sweep_graphs(renumbered, FAMILY_NAMES, grid)
-        moved = {}
+        moved, flipped = {}, {}
         for name in FAMILY_NAMES:
-            assert a[name].errors == b[name].errors
             assert best_of_grid(a[name]) == best_of_grid(b[name])
             moved[name] = int(np.count_nonzero(a[name].ari != b[name].ari))
+            flipped[name] = set(a[name].errors) ^ set(b[name].errors)
+        return moved, flipped
+
+    def test_renumbered_a1_graphs_move_pinned_cells(self):
+        # Graphs 0-2 of A1's task.  Error cells do not move; the cells whose
+        # ARI does are the float-edge cells (logComm, Heat and logHeat near
+        # the noise floor; SCT, SCCT, RSP and FE at large beta).  A fix for
+        # those lowers the pins.
+        spec = uniform_spec(100, 2, 0.3, 0.1, seed=20240501)
+        moved, flipped = self._renumbered_moves([generate(spec, i) for i in range(3)])
+        assert flipped == dict.fromkeys(FAMILY_NAMES, set())
         assert moved == {**dict.fromkeys(FAMILY_NAMES, 0), "logComm": 8, "Heat": 8,
                          "logHeat": 6, "SCT": 3, "SCCT": 10, "RSP": 12, "FE": 6}
+
+    def test_renumbered_zachary_moves_pinned_cells(self, zachary_root, monkeypatch):
+        # Unlike on A1's task, error cells move: Comm's NegativeDistance
+        # cells at p = 0.873 and 0.909 (grid indices 48 and 50) go and one
+        # at p = 0.944 (index 52) comes.  There Comm's largest kernel entry
+        # is 1.9e19 to 6.3e48, and its least distance (-256 to -1.6e32, or 0,
+        # by node order) is rounding noise checked against the absolute
+        # NEG_TOL.  A fix for those lowers the pins.
+        monkeypatch.setenv("KERNELBENCH_DATA", str(zachary_root))
+        moved, flipped = self._renumbered_moves([load_dataset("zachary")])
+        assert flipped == {**dict.fromkeys(FAMILY_NAMES, set()),
+                           "Comm": {(0, 48, "NegativeDistance"), (0, 50, "NegativeDistance"),
+                                    (0, 52, "NegativeDistance")}}
+        assert moved == {**dict.fromkeys(FAMILY_NAMES, 0), "Comm": 3, "RSP": 2}

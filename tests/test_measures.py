@@ -56,7 +56,7 @@ class TestPWalk:
 
     def test_matches_walk_series(self, sbm_graph):
         ev = FamilyEvaluator(sbm_graph)
-        series = neumann_series(sbm_graph.adjacency, ev.raw_parameter("pWalk", 0.3), 200)
+        series = neumann_series(sbm_graph.adjacency, ev.raw_parameter("pWalk", 0.3))
         assert np.abs(ev.matrix("pWalk", 0.3).matrix - series).max() <= 1e-8
 
     def test_entrywise_nonnegative(self, sbm_graph):

@@ -10,10 +10,11 @@ The format follows the file's suffix:
   path, ``.labels`` extension) holding one class per line in node order.
 
 Node ids are remapped to 0..N-1 in declaration order for GML and
-first-appearance order for edge lists.  Data files are not vendored;
-``scripts/fetch_datasets.py`` documents where to get them and checks
-hashes.  Registered datasets are read from the directory named by the
-``KERNELBENCH_DATA`` environment variable (default ``./data``).
+first-appearance order for edge lists.  One assembler builds both formats'
+graphs, and a pair listed twice must carry one weight.  Data files are not
+vendored; ``scripts/fetch_datasets.py`` documents where to get them and
+checks hashes.  Registered datasets are read from the directory named by
+the ``KERNELBENCH_DATA`` environment variable (default ``./data``).
 """
 
 from __future__ import annotations
@@ -72,14 +73,12 @@ _GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
 def _gml_scalar(token: str):
     if token.startswith('"') and token.endswith('"'):
         return token[1:-1]
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        return token
+    for parse in (int, float):
+        try:
+            return parse(token)
+        except ValueError:
+            pass
+    return token
 
 
 def _gml_block(tokens: list[str], pos: int, nested: bool = False):
@@ -122,54 +121,22 @@ def _load_gml(path: Path) -> Graph:
 
     node_index: dict[int, int] = {}
     raw_labels: list[object] = []
-    for key, value in graph_items:
-        if key != "node":
-            continue
-        node_id = _first(value, "id")
+    for node in [value for key, value in graph_items if key == "node"]:
+        node_id = _first(node, "id")
         if node_id is None:
             raise ParseError(f"{path.name}: node without id")
         if node_id in node_index:
             raise ParseError(f"{path.name}: duplicate node id {node_id}")
         node_index[node_id] = len(node_index)
-        raw_labels.append(_first(value, "value"))
+        raw_labels.append(_first(node, "value"))
+    edges = [(_first(e, "source"), _first(e, "target"), _first(e, "weight", 1.0), path.name)
+             for key, e in graph_items if key == "edge"]
 
-    n = len(node_index)
-    if n == 0:
+    if not node_index:
         raise ParseError(f"{path.name}: no nodes")
-    if any(v is None for v in raw_labels):
-        missing = sum(1 for v in raw_labels if v is None)
-        raise MissingLabels(f"{path.name}: {missing} nodes have no 'value' attribute")
-
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    for key, value in graph_items:
-        if key != "edge":
-            continue
-        source = _first(value, "source")
-        target = _first(value, "target")
-        weight = _first(value, "weight", 1.0)
-        if source not in node_index or target not in node_index:
-            raise ParseError(f"{path.name}: edge ({source},{target}) references unknown node")
-        i, j = node_index[source], node_index[target]
-        if i == j:
-            raise ParseError(f"{path.name}: self-loop on node {source}")
-        try:
-            adjacency[i, j] = adjacency[j, i] = float(weight)
-        except (TypeError, ValueError):
-            raise ParseError(
-                f"{path.name}: edge ({source},{target}) has non-numeric weight {weight!r}"
-            ) from None
-
-    return build_graph(adjacency, _index_labels(raw_labels))
-
-
-def _index_labels(raw: list[object]) -> np.ndarray:
-    seen: dict[object, int] = {}
-    out = np.empty(len(raw), dtype=np.int64)
-    for i, value in enumerate(raw):
-        if value not in seen:
-            seen[value] = len(seen)
-        out[i] = seen[value]
-    return out
+    if None in raw_labels:
+        raise MissingLabels(f"{path.name}: {raw_labels.count(None)} nodes have no 'value' attribute")
+    return _assemble(node_index, edges, raw_labels)
 
 
 # -- edge list ----------------------------------------------------------------
@@ -180,7 +147,7 @@ def _load_edgelist(path: Path) -> Graph:
         raise MissingLabels(f"label sidecar {labels_path.name} not found next to {path.name}")
 
     node_index: dict[int, int] = {}
-    edges: list[tuple[int, int, float]] = []
+    edges = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -190,35 +157,46 @@ def _load_edgelist(path: Path) -> Graph:
             raise ParseError(f"{path.name}:{lineno}: expected 'u v [w]', got {line!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise ParseError(f"{path.name}:{lineno}: {exc}") from None
-        if u == v:
-            raise ParseError(f"{path.name}:{lineno}: self-loop on node {u}")
         for node in (u, v):
-            if node not in node_index:
-                node_index[node] = len(node_index)
-        edges.append((node_index[u], node_index[v], w))
-
-    n = len(node_index)
-    if n == 0:
+            node_index.setdefault(node, len(node_index))
+        edges.append((u, v, parts[2] if len(parts) == 3 else 1.0, f"{path.name}:{lineno}"))
+    if not node_index:
         raise ParseError(f"{path.name}: no edges")
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    for i, j, w in edges:
-        adjacency[i, j] = adjacency[j, i] = w
 
     raw = []
     for lineno, line in enumerate(labels_path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+        if line.strip():
+            try:
+                raw.append(int(line))
+            except ValueError:
+                raise ParseError(f"{labels_path.name}:{lineno}: labels must be integers") from None
+    if len(raw) != len(node_index):
+        raise ParseError(f"{labels_path.name}: {len(raw)} labels for {len(node_index)} nodes")
+    return _assemble(node_index, edges, raw)
+
+
+def _assemble(node_index: dict, edges: list, raw_labels: list) -> Graph:
+    """The graph of edges ``(u, v, weight, where)``; classes numbered by first appearance."""
+    adjacency = np.zeros((len(node_index),) * 2)
+    for u, v, weight, where in edges:
         try:
-            raw.append(int(line))
-        except ValueError:
-            raise ParseError(f"{labels_path.name}:{lineno}: labels must be integers") from None
-    if len(raw) != n:
-        raise ParseError(f"{labels_path.name}: {len(raw)} labels for {n} nodes")
-    return build_graph(adjacency, _index_labels(raw))
+            i, j = node_index[u], node_index[v]
+        except KeyError:
+            raise ParseError(f"{where}: edge ({u},{v}) references unknown node") from None
+        if i == j:
+            raise ParseError(f"{where}: self-loop on node {u}")
+        try:
+            w = float(weight)
+        except (TypeError, ValueError):
+            raise ParseError(f"{where}: edge ({u},{v}) has non-numeric weight {weight!r}") from None
+        if adjacency.item(i, j) not in (0.0, w):
+            raise ParseError(f"{where}: edge ({u},{v}) has weight {w!r}, but its pair was "
+                             f"listed before with weight {adjacency.item(i, j)!r}")
+        adjacency[i, j] = adjacency[j, i] = w
+    classes: dict = {}
+    return build_graph(adjacency, [classes.setdefault(c, len(classes)) for c in raw_labels])
 
 
 # -- public api ----------------------------------------------------------------

@@ -77,7 +77,10 @@ class Statistic:
         if text == "max":
             return cls(100.0)
         if text.startswith("percentile:"):
-            q = float(text.split(":", 1)[1])
+            try:
+                q = float(text.split(":", 1)[1])
+            except ValueError:
+                raise ParameterOutOfRange(f"percentile must be a number, got {text!r}") from None
             if not (0.0 <= q <= 100.0):
                 raise ParameterOutOfRange(f"percentile must be in [0, 100], got {q}")
             return cls(q)
@@ -346,6 +349,8 @@ def reject_curve(dist: DistanceMatrix | np.ndarray, labels) -> RejectCurve:
     labels = np.asarray(labels)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise MalformedDistance(f"distances must be square, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise MalformedDistance("distances contain nan or inf")
     n = m.shape[0]
     if labels.shape != (n,):
         raise LengthMismatch(f"labels of shape {labels.shape} for {n} nodes")

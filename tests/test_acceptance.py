@@ -11,11 +11,12 @@ has the analysis.  Monte-Carlo criteria (A1-A3) take a few minutes in total.
 
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from kernelbench import shortest_path_matrix, uniform_spec
+from kernelbench import RejectCurve, acceptance, shortest_path_matrix, uniform_spec
 from kernelbench.acceptance import CRITERIA, DEFAULT_SEED, fe_limit_offset, run_acceptance
 from kernelbench.generators import generate
 from kernelbench.graph import build_graph
@@ -75,6 +76,66 @@ def test_a7_criterion_as_stated():
     # the whole grid; see the acceptance section of README.md.
     result = _run("A7")
     assert result.passed, result.details
+
+
+# A5-A7 each fail when one component they check is wrong: each test below
+# patches that component, runs its criterion without a pool and reads the
+# criterion's message.
+def _fails(name):
+    result = CRITERIA[name](seed=DEFAULT_SEED, workers=1)
+    assert result.status == "FAIL", result.details
+    return result.details
+
+
+def test_a5_fails_on_a_shifted_reject_auc():
+    real = acceptance.reject_curve
+
+    def shifted(dist, labels):
+        curve = real(dist, labels)
+        return RejectCurve(curve.x, curve.y, curve.auc + 1e-9)
+
+    with mock.patch.object(acceptance, "reject_curve", shifted):
+        assert "AUC oracle mismatch 1e-09" in _fails("A5")
+
+
+def test_a5_fails_on_swapped_ward_labels():
+    real = acceptance.ward_cuts
+
+    def swapped(stack, k, *merges):
+        labels = real(stack, k, *merges)
+        labels[:, [0, -1]] = labels[:, [-1, 0]]
+        return labels
+
+    with mock.patch.object(acceptance, "ward_cuts", swapped):
+        assert "ward partition differs at n=6, k=2" in _fails("A5")
+
+
+def test_a6_fails_on_a_scaled_for_kernel():
+    real = FamilyEvaluator.matrix
+
+    def scaled(self, name, p):
+        m = real(self, name, p)
+        return type(m)(m.matrix * (1.0 + 1e-6), m.family, m.parameter) if name == "For" else m
+
+    # its sweeps run serially too: workers forked under the patch would be
+    # kept, scaled kernel and all, for later pooled calls
+    real_sweep = acceptance.sweep_task
+    with mock.patch.object(FamilyEvaluator, "matrix", scaled), \
+            mock.patch.object(acceptance, "sweep_task",
+                              lambda *args, workers: real_sweep(*args, workers=1)):
+        assert "For row sums differ from 1" in _fails("A6")
+
+
+def test_a7_fails_when_fe_returns_shortest_paths():
+    real = FamilyEvaluator.matrix
+
+    def shortest(self, name, p):
+        return shortest_path_matrix(self.graph) if name == "FE" else real(self, name, p)
+
+    with mock.patch.object(FamilyEvaluator, "matrix", shortest):
+        details = _fails("A7")
+    assert "FE at beta=20 off SP + c/beta by 3.47e-02 on P3" in details
+    assert "FE at beta=20 off SP + c/beta by 1.59e-01 on n10" in details
 
 
 def test_a7_rsp_low_temperature_limit_holds():

@@ -100,6 +100,19 @@ class TestGml:
         with pytest.raises(ParseError, match=match):
             load_graph(path)
 
+    def test_pair_listed_twice_keeps_one_weight(self, tmp_path):
+        # a repeat with the same weight loads; with another weight the loaded
+        # weight would depend on which listing comes last
+        path = tmp_path / "x.gml"
+        nodes = "node [ id 0 value 0 ] node [ id 1 value 1 ] "
+        path.write_text(f"graph [ {nodes} edge [ source 0 target 1 ] edge [ source 1 target 0 ] ]")
+        assert load_graph(path).adjacency[0, 1] == 1.0
+        path.write_text(f"graph [ {nodes} edge [ source 0 target 1 weight 2.0 ] "
+                        "edge [ source 1 target 0 weight 5.0 ] ]")
+        with pytest.raises(ParseError, match=r"x\.gml: edge \(1,0\) has weight 5\.0, but its "
+                                             r"pair was listed before with weight 2\.0"):
+            load_graph(path)
+
     def test_duplicate_node_id(self, tmp_path):
         path = tmp_path / "x.gml"
         path.write_text('graph [ node [ id 0 value 1 ] node [ id 0 value 1 ] ]')
@@ -143,6 +156,15 @@ class TestEdgeList:
         b = load_graph(edges)
         assert np.array_equal(a.adjacency, b.adjacency)
         assert np.array_equal(a.labels, b.labels)
+
+    def test_pair_listed_twice_keeps_one_weight(self, tmp_path):
+        edges = tmp_path / "g.edges"
+        (tmp_path / "g.labels").write_text("0\n1\n")
+        edges.write_text("0 1 2.0\n1 0 2.0\n")
+        assert load_graph(edges).adjacency[0, 1] == 2.0
+        edges.write_text("0 1 2.0\n1 0 5.0\n")
+        with pytest.raises(ParseError, match=r"g\.edges:2: edge \(1,0\) has weight 5\.0"):
+            load_graph(edges)
 
     def test_non_finite_weight(self, tmp_path):
         edges = tmp_path / "g.edges"

@@ -89,6 +89,9 @@ class TestStatistic:
             Statistic.parse("median")
         with pytest.raises(ParameterOutOfRange):
             Statistic.parse("percentile:120")
+        for text in ("percentile:abc", "percentile:"):
+            with pytest.raises(ParameterOutOfRange, match="percentile must be a number"):
+                Statistic.parse(text)
 
     def test_percentile_100_is_max(self, rng):
         values = rng.normal(size=37)
@@ -356,15 +359,18 @@ class TestRejectCurve:
         with pytest.raises(DegenerateLabels):
             reject_curve(d, np.arange(3))
 
-    @pytest.mark.parametrize("shape, labels, error", [
-        ((3, 3), [0, 1, 1, 0], LengthMismatch),
-        ((3, 3), [0, 1], LengthMismatch),
-        ((3, 4), [0, 1, 1], MalformedDistance),
-    ], ids=["labels-beyond-rows", "labels-short-of-rows", "not-square"])
-    def test_malformed_input(self, shape, labels, error):
-        # without one label per row of a square matrix a curve reads part of its input
+    @pytest.mark.parametrize("dist, labels, error", [
+        (np.zeros((3, 3)), [0, 1, 1, 0], LengthMismatch),
+        (np.zeros((3, 3)), [0, 1], LengthMismatch),
+        (np.zeros((3, 4)), [0, 1, 1], MalformedDistance),
+        (np.array([[0, np.nan, 1], [np.nan, 0, 2], [1, 2, 0.]]), [0, 0, 1], MalformedDistance),
+        (np.array([[0, 1, np.inf], [1, 0, 2], [np.inf, 2, 0.]]), [0, 0, 1], MalformedDistance),
+    ], ids=["labels-beyond-rows", "labels-short-of-rows", "not-square", "nan", "inf"])
+    def test_malformed_input(self, dist, labels, error):
+        # without one label per row of a square matrix a curve reads part of
+        # its input, and a nan or inf distance has no rank among the others
         with pytest.raises(error):
-            reject_curve(np.zeros(shape), labels)
+            reject_curve(dist, labels)
 
 
 class TestAverageCurves:

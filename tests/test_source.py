@@ -116,3 +116,25 @@ def test_only_datasets_reads_the_environment():
                     alias.name in ("environ", "environb", "getenv") for alias in node.names):
                 readers.append(f"{path.name} (line {node.lineno})")
     assert readers and all(r.startswith("datasets.py ") for r in readers), readers
+
+
+def test_runner_calls_the_names_perfbench_patches():
+    # perfbench/run.py replaces these runner globals with a replay's results;
+    # if runner stopped calling one by its module-global name, the replay
+    # would compare the program with itself and check nothing
+    patched = {"sweep_task", "reject_experiment", "sweep_graphs", "load_dataset"}
+    tree = ast.parse(next(p for p in SOURCES if p.name == "runner.py").read_text())
+    nodes = list(ast.walk(tree))
+    global_imports = {alias.asname or alias.name for node in tree.body
+                      if isinstance(node, ast.ImportFrom) for alias in node.names}
+    called = {node.func.id for node in nodes
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    # a local binding, a parameter or an attribute of that name bypasses the global
+    other = {node.id for node in nodes
+             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
+    other |= {node.arg for node in nodes if isinstance(node, ast.arg)}
+    other |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    other |= {alias.asname or alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+              and node not in tree.body for alias in node.names}
+    assert patched <= global_imports & called, sorted(patched - (global_imports & called))
+    assert not patched & other, sorted(patched & other)

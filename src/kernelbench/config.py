@@ -14,6 +14,7 @@ from pathlib import Path
 
 import yaml
 
+from .datasets import read_text
 from .errors import ConfigInvalid
 from .evaluation import Statistic
 from .families import FAMILIES
@@ -157,7 +158,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigInvalid(f"no such config file: {path}")
     try:
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_Loader)
+        raw = yaml.load(read_text(path, "config file", ConfigInvalid), Loader=_Loader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         context = f"{exc.context}: " if exc.context else ""
@@ -166,11 +167,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except yaml.reader.ReaderError as exc:
         raise ConfigInvalid(f"{path.name}: {exc.reason}: #x{exc.character:04x} "
                             f"(position {exc.position})") from None
-    except OSError as exc:
-        raise ConfigInvalid(f"cannot read config file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigInvalid(f"config file {path} is not UTF-8: {exc.reason} "
-                            f"at byte {exc.start}") from None
     return config_from_dict(raw)
 
 

@@ -26,7 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetMissing, Disconnected, MissingLabels, NotFound, ParseError
+from .errors import (
+    DatasetMissing,
+    Disconnected,
+    KernelBenchError,
+    MissingLabels,
+    NotFound,
+    ParseError,
+)
 from .graph import Graph, build_graph, is_connected
 
 DATA_ENV = "KERNELBENCH_DATA"
@@ -63,6 +70,17 @@ def dataset_descriptor(name: str) -> DatasetDescriptor:
         if d.name == name.lower():
             return d
     raise NotFound(f"unknown dataset {name!r}")
+
+
+def read_text(path: Path, what: str, error: type[KernelBenchError]) -> str:
+    """The UTF-8 text of file ``path``; a file that cannot be read or is not
+    UTF-8 raises ``error``, naming ``what`` the file is and its path."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 # -- GML ----------------------------------------------------------------------
@@ -112,28 +130,47 @@ def _first(items, key, default=None):
     return default
 
 
+def _scalar(items, key: str, where: str):
+    """The first value under ``key``, which must not be a [...] block."""
+    value = _first(items, key)
+    if isinstance(value, list):
+        raise ParseError(f"{where}: '{key}' must be a single value, got a [...] block")
+    return value
+
+
+def _blocks(items, key: str, where: str) -> list:
+    """Every value under ``key``, each of which must be a [...] block."""
+    values = [value for k, value in items if k == key]
+    for value in values:
+        if not isinstance(value, list):
+            raise ParseError(f"{where}: '{key}' must be a [...] block, got {value!r}")
+    return values
+
+
 def _load_gml(path: Path) -> Graph:
-    tokens = _GML_TOKEN.findall(path.read_text())
+    tokens = _GML_TOKEN.findall(read_text(path, "GML file", ParseError))
     items, _ = _gml_block(tokens, 0)
-    graph_items = _first(items, "graph")
-    if graph_items is None:
+    graphs = _blocks(items, "graph", path.name)
+    if not graphs:
         raise ParseError(f"{path.name}: no 'graph [...]' section")
 
     node_index: dict[int, int] = {}
     raw_labels: list[object] = []
-    for node in [value for key, value in graph_items if key == "node"]:
-        node_id = _first(node, "id")
+    for node in _blocks(graphs[0], "node", path.name):
+        node_id = _scalar(node, "id", path.name)
         if node_id is None:
             raise ParseError(f"{path.name}: node without id")
         if node_id in node_index:
             raise ParseError(f"{path.name}: duplicate node id {node_id}")
         node_index[node_id] = len(node_index)
-        raw_labels.append(_first(node, "value"))
-    edges = [(_first(e, "source"), _first(e, "target"), _first(e, "weight", 1.0), path.name)
-             for key, e in graph_items if key == "edge"]
+        raw_labels.append(_scalar(node, "value", path.name))
+    # the assembler checks each weight
+    edges = [(_scalar(e, "source", path.name), _scalar(e, "target", path.name),
+              _first(e, "weight", 1.0), path.name)
+             for e in _blocks(graphs[0], "edge", path.name)]
 
-    if not node_index:
-        raise ParseError(f"{path.name}: no nodes")
+    if len(node_index) < 2:
+        raise ParseError(f"{path.name}: a graph needs at least two nodes, got {len(node_index)}")
     if None in raw_labels:
         raise MissingLabels(f"{path.name}: {raw_labels.count(None)} nodes have no 'value' attribute")
     return _assemble(node_index, edges, raw_labels)
@@ -148,7 +185,7 @@ def _load_edgelist(path: Path) -> Graph:
 
     node_index: dict[int, int] = {}
     edges = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, "edge list", ParseError).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -166,7 +203,8 @@ def _load_edgelist(path: Path) -> Graph:
         raise ParseError(f"{path.name}: no edges")
 
     raw = []
-    for lineno, line in enumerate(labels_path.read_text().splitlines(), start=1):
+    lines = read_text(labels_path, "label sidecar", ParseError).splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
                 raw.append(int(line))

@@ -56,10 +56,6 @@ class NonPositiveEntry(KernelBenchError):
     """Elementwise logarithm (or division) hit an entry <= 0."""
 
 
-class ZeroDegree(KernelBenchError):
-    """Operation requires every node degree to be positive."""
-
-
 class DegenerateKernel(KernelBenchError):
     """Kernel matrix is constant; sigmoid normalization is undefined."""
 

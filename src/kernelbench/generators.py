@@ -76,8 +76,8 @@ def block_model_spec(sizes, probabilities, seed: int, name: str = "") -> BlockMo
     if not _is_sequence(sizes):
         raise ConfigInvalid("'sizes' must be a list")
     sizes = tuple(_positive_int("sizes", s) for s in sizes)
-    if not sizes:
-        raise ConfigInvalid("a block model needs at least one class")
+    if sum(sizes) < 2:
+        raise ConfigInvalid(f"a block model needs at least two nodes, got sizes {list(sizes)}")
     m = len(sizes)
     if not (_is_sequence(probabilities) and len(probabilities) == m
             and all(_is_sequence(row) and len(row) == m for row in probabilities)):

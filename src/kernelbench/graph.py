@@ -48,20 +48,22 @@ class Graph:
 def build_graph(adjacency: np.ndarray, labels=None) -> Graph:
     """Validate and construct a graph.
 
-    The matrix must be square, finite, symmetric within 1e-12, nonnegative,
-    and have an exactly zero diagonal (simple graphs only).  It is
-    symmetrized as (A + A^T)/2 after validation to remove float asymmetry.
+    The matrix must be square with at least two nodes, finite, symmetric
+    within 1e-12, nonnegative, and have an exactly zero diagonal (simple
+    graphs only).  It is symmetrized as (A + A^T)/2 after validation to
+    remove float asymmetry.
     Labels, when given, must cover exactly the classes 0..m-1.
     """
     a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise AsymmetricInput(f"adjacency must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
+        raise AsymmetricInput(f"adjacency must be square with at least two nodes, "
+                              f"got shape {a.shape}")
     if not np.isfinite(a).all():
         i, j = np.argwhere(~np.isfinite(a))[0]
         raise NegativeWeight(f"non-finite weight {a[i, j]:g} at ({i},{j})")
-    if a.size and np.abs(a - a.T).max() > SYMMETRY_TOL:
+    if np.abs(a - a.T).max() > SYMMETRY_TOL:
         raise AsymmetricInput(f"adjacency asymmetric beyond {SYMMETRY_TOL:g}")
-    if a.size and a.min() < 0.0:
+    if a.min() < 0.0:
         i, j = np.unravel_index(int(np.argmin(a)), a.shape)
         raise NegativeWeight(f"negative weight {a[i, j]:g} at ({i},{j})")
     if np.any(np.diagonal(a) != 0.0):
@@ -79,8 +81,7 @@ def build_graph(adjacency: np.ndarray, labels=None) -> Graph:
                 raise LabelOutOfRange("labels must be integers")
         lab = lab.astype(np.int64)
         present = np.unique(lab)
-        m = int(present.max()) + 1 if present.size else 0
-        if present.size == 0 or present[0] < 0 or not np.array_equal(present, np.arange(m)):
+        if present[0] < 0 or not np.array_equal(present, np.arange(present[-1] + 1)):
             raise LabelOutOfRange(f"labels must cover exactly 0..m-1, got {present}")
         lab.setflags(write=False)
     return Graph(a, lab)
@@ -96,8 +97,6 @@ def laplacian(g: Graph) -> np.ndarray:
 def is_connected(g: Graph) -> bool:
     """True iff the graph has a single connected component."""
     n = g.n
-    if n <= 1:
-        return True
     a = g.adjacency > 0
     reached = np.zeros(n, dtype=bool)
     reached[0] = True

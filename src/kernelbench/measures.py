@@ -29,7 +29,6 @@ from .errors import (
     NonPositiveEntry,
     NumericalOverflow,
     ParameterOutOfRange,
-    ZeroDegree,
 )
 from .families import (
     RATIO,
@@ -92,7 +91,7 @@ class FamilyEvaluator:
     Parameters
     ----------
     g : Graph
-        Connected graph to evaluate on.
+        Connected graph to evaluate on (two nodes or more, so no degree is 0).
     """
 
     def __init__(self, g: Graph):
@@ -118,7 +117,7 @@ class FamilyEvaluator:
     @cached_property
     def spectral_radius(self) -> float:
         values = self.adjacency_eigen.values
-        return float(max(abs(values[0]), abs(values[-1]))) if values.size else 0.0
+        return float(max(abs(values[0]), abs(values[-1])))
 
     @cached_property
     def lap_pinv(self) -> np.ndarray:
@@ -132,8 +131,6 @@ class FamilyEvaluator:
     def cct_base(self) -> np.ndarray:
         a = self.graph.adjacency
         d = self.degrees
-        if np.any(d <= 0.0):
-            raise ZeroDegree("corrected commute time needs all degrees positive")
         volume = float(d.sum())
         inv_sqrt = 1.0 / np.sqrt(d)
         m = (a - np.outer(d, d) / volume) * np.outer(inv_sqrt, inv_sqrt)
@@ -172,8 +169,7 @@ class FamilyEvaluator:
         if scaling == SPECTRAL:
             if p == 0.0:
                 raise ParameterOutOfRange(f"{name}: p = 0 leaves the open interval (0, 1/rho)")
-            rho = self.spectral_radius
-            return float(p * (1.0 - WALK_MARGIN) / rho if rho > 0.0 else p)
+            return float(p * (1.0 - WALK_MARGIN) / self.spectral_radius)
         if scaling == RATIO:
             if p == 0.0 or p == 1.0:
                 raise ParameterOutOfRange(f"{name}: p on the open interval (0, 1) only")
@@ -192,7 +188,7 @@ class FamilyEvaluator:
             source, f = _KERNELS[plain]
             eigen = getattr(self, source)
             x = t * eigen.values
-            top = float(x[-1]) if x.size else 0.0
+            top = float(x[-1])
             if name == "Comm" and top > EXP_MAX:
                 raise NumericalOverflow(f"exp({top:g}) exceeds float64 range")
             if name == "logComm":
@@ -242,7 +238,7 @@ class FamilyEvaluator:
         w = self.graph.adjacency / self.degrees[:, None] * np.exp(-beta * self.edge_costs)
         eye = np.eye(w.shape[0])
         z = solve_linear(eye - w, eye)
-        low = z.min() if z.size else 1.0
+        low = z.min()
         if low <= 0.0:
             raise NonPositiveEntry(
                 f"{variant}: fundamental matrix entry {low:g} is not positive "
@@ -251,8 +247,6 @@ class FamilyEvaluator:
         return w, z
 
     def _rsp_fe(self, beta: float, variant: str) -> DistanceMatrix:
-        if np.any(self.degrees <= 0.0):
-            raise ZeroDegree(f"{variant} needs all degrees positive")
         w, z = self._keep(("RSP/FE", beta), lambda: self._fundamental(beta, variant))
         costs = self.edge_costs
         if variant == "RSP":

@@ -8,7 +8,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from kernelbench import cli, runner
+from kernelbench import acceptance, cli, runner
 from kernelbench.cli import main
 from kernelbench.config import apply_overrides, config_from_dict, config_to_dict, load_config
 from kernelbench.errors import ConfigInvalid
@@ -291,6 +291,10 @@ class TestConfig:
          "nonempty 'families' list"),
         ({"Heat": 1}, {"nodes": 10, "classes": 2, "p_in": 0.3, "p_out": 0.1},
          "nonempty 'families' list"),
+        (["Heat"], {"sizes": [1], "probabilities": [[0.9]]},
+         "task #0: a block model needs at least two nodes"),
+        (["Heat"], {"nodes": 1, "classes": 1, "p_in": 0.3, "p_out": 0.1},
+         "task #0: a block model needs at least two nodes"),
     ])
     def test_bad_task_field_is_an_error(self, tmp_path, capsys, families, task, match):
         # JSON is YAML: "0.3" stays a string and true a boolean
@@ -608,6 +612,23 @@ class TestCliMain:
         assert capsys.readouterr().err == "error: unknown dataset 'nosuch'\n"
         assert not evaluated and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("make, want", [
+        (lambda path: path.mkdir(), "error: cannot read GML file {path}: Is a directory\n"),
+        (lambda path: path.write_bytes(b"graph [ node [ id 0 value \xff ] ]"),
+         "error: GML file {path} is not UTF-8: invalid start byte at byte 26\n"),
+    ], ids=["directory", "not-utf8"])
+    def test_unreadable_data_file_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                    make, want):
+        # a data file fails the way a config file does, before the output directory
+        path = tmp_path / "data" / "zachary.gml"
+        path.parent.mkdir()
+        make(path)
+        monkeypatch.setenv("KERNELBENCH_DATA", str(path.parent))
+        raw = {**_minimal("datasets"), "out": str(tmp_path / "o")}
+        assert main(["run", str(_write_cfg(tmp_path, json.dumps(raw)))]) == 2
+        assert capsys.readouterr().err == want.format(path=path)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("name, rows", [
         ("table1", {"tournament.csv": 1 + 13 * 8 + 13}),
         ("table2", {"sweep.csv": 1 + 3 * 13 * 2, "best_params.csv": 1 + 3 * 13}),
@@ -645,6 +666,19 @@ class TestCliMain:
 
     def test_verify_only_unknown(self, capsys):
         assert main(["verify", "--only", "A9"]) == 2
+
+    def test_verify_only_one_criterion(self, capsys):
+        # --only takes a criterion's name as well as a suite's
+        assert main(["verify", "--only", "A5"]) == 0
+        assert capsys.readouterr().out == "[PASS] A5: all oracles agree\n"
+
+    def test_verify_criterion_that_raises_fails(self, capsys, monkeypatch):
+        # a library error inside a criterion is that criterion's FAIL, not a crash
+        def criterion(seed, workers):
+            raise ConfigInvalid("no such task")
+        monkeypatch.setitem(acceptance.CRITERIA, "A5", criterion)
+        assert main(["verify", "--only", "A5"]) == 1
+        assert capsys.readouterr().out == "[FAIL] A5: aborted: no such task\n"
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--workers", "-2")])
     def test_verify_bad_flag_rejected_before_any_criterion(self, capsys, flag, value):

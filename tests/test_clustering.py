@@ -143,6 +143,13 @@ class TestRandIndices:
         assert adjusted_rand_index(np.zeros(5, int), np.zeros(5, int)) == 1.0
         assert adjusted_rand_index(np.arange(5), np.arange(5)) == 1.0
 
+    @pytest.mark.parametrize("a, b", [([], []), ([0], [0]), ([0], [3])],
+                             ids=["no-nodes", "one-node", "one-node-relabelled"])
+    def test_fewer_than_two_nodes_agree(self, a, b):
+        # no node pair to count: both call the partitions identical
+        assert adjusted_rand_index(a, b) == 1.0
+        assert ari_pair_oracle(a, b) == 1.0
+
     def test_matches_pair_oracle(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 13))

@@ -88,12 +88,27 @@ class TestGml:
         ("graph [ node [ id 0 value 0 ] ] creator", "key 'creator' has no value"),
         ('creator "test"', r"x\.gml: no 'graph \[\.\.\.\]' section"),
         ("graph [ node [ label 0 value 0 ] ]", r"x\.gml: node without id"),
-        ("graph [ directed 0 ]", r"x\.gml: no nodes"),
+        ("graph [ directed 0 ]", r"x\.gml: a graph needs at least two nodes, got 0"),
+        ("graph [ node [ id 0 value 0 ] ]", r"x\.gml: a graph needs at least two nodes, got 1"),
         ("graph [ node [ id 0 value 0 ] node [ id 5 value 1 ] "
          "edge [ source 0 target 5 ] edge [ source 5 target 5 ] ]",
          r"x\.gml: self-loop on node 5"),
+        # values of the wrong shape
+        ("graph [ node 5 ]", r"x\.gml: 'node' must be a \[\.\.\.\] block, got 5"),
+        ("graph 5", r"x\.gml: 'graph' must be a \[\.\.\.\] block, got 5"),
+        ("graph [ edge 3 node [ id 0 value 0 ] ]",
+         r"x\.gml: 'edge' must be a \[\.\.\.\] block, got 3"),
+        ("graph [ node [ id [ x 1 ] value 0 ] ]",
+         r"x\.gml: 'id' must be a single value, got a \[\.\.\.\] block"),
+        ("graph [ node [ id 0 value 0 ] node [ id 1 value 1 ] "
+         "edge [ source [ a 1 ] target 1 ] ]",
+         r"x\.gml: 'source' must be a single value, got a \[\.\.\.\] block"),
+        ("graph [ node [ id 0 value [ a 1 ] ] node [ id 1 value 1 ] "
+         "edge [ source 0 target 1 ] ]",
+         r"x\.gml: 'value' must be a single value, got a \[\.\.\.\] block"),
     ], ids=["stray-close", "stray-open", "key-without-value", "no-graph",
-            "node-without-id", "no-nodes", "self-loop"])
+            "node-without-id", "no-nodes", "one-node", "self-loop", "node-scalar", "graph-scalar",
+            "edge-scalar", "id-block", "source-block", "value-block"])
     def test_malformed_file(self, tmp_path, text, match):
         path = tmp_path / "x.gml"
         path.write_text(text)
@@ -196,6 +211,20 @@ class TestEdgeList:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetMissing):
             load_graph(tmp_path / "none.edges")
+
+    @pytest.mark.parametrize("name, what", [("g.edges", "edge list"),
+                                            ("g.labels", "label sidecar")])
+    def test_unreadable_file(self, tmp_path, name, what):
+        (tmp_path / "g.edges").write_text("0 1\n")
+        (tmp_path / "g.labels").write_text("0\n1\n")
+        (tmp_path / name).write_bytes(b"0\n\xff\n")
+        with pytest.raises(ParseError, match=f"{what} .*{name} is not UTF-8: invalid start byte "
+                                             "at byte 2"):
+            load_graph(tmp_path / "g.edges")
+        (tmp_path / name).unlink()
+        (tmp_path / name).mkdir()
+        with pytest.raises(ParseError, match=f"cannot read {what} .*{name}: Is a directory"):
+            load_graph(tmp_path / "g.edges")
 
     @pytest.mark.parametrize("edges, labels, match", [
         ("0 1\n1 a\n", "0\n1\n", r"g\.edges:2: invalid literal"),

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -604,6 +605,11 @@ class TestKeptPool:
         victim = next(child for child in multiprocessing.active_children() if child in kept.workers)
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=30)
+        # the pool's own thread may reap the worker first and set its exit
+        # code just after this join returns
+        deadline = time.monotonic() + 30
+        while victim.exitcode is None and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert victim.exitcode == -signal.SIGKILL
         self.assert_equal(self.sweep(2), serial)
         assert evaluation._kept is not kept

@@ -72,7 +72,8 @@ class TestSpecBuilders:
         (["4", 3], np.eye(2) * 0.5, 1, "", "'sizes' must be an integer >= 1"),
         ([True, 3], np.eye(2) * 0.5, 1, "", "'sizes' must be an integer >= 1"),
         (7, [[0.5]], 1, "", "'sizes' must be a list"),
-        ([], [], 1, "", "at least one class"),
+        ([], [], 1, "", r"at least two nodes, got sizes \[\]"),
+        ([1], [[0.5]], 1, "", r"at least two nodes, got sizes \[1\]"),
         ([2, 3], [[0.5, 0.1], [0.1]], 1, "", "'probabilities' must be 2 rows of 2 numbers"),
         ([2, 3], np.full((2, 3), 0.5), 1, "", "'probabilities' must be 2 rows of 2 numbers"),
         ([2, 3], [[0.5, "0.1"], [0.1, 0.5]], 1, "",
@@ -81,8 +82,8 @@ class TestSpecBuilders:
         ([2, 3], np.eye(2) * 0.5, 1.7, "", "seed must be an unsigned 64-bit integer"),
         ([2, 3], np.eye(2) * 0.5, True, "", "seed must be an unsigned 64-bit integer"),
         ([2, 3], np.eye(2) * 0.5, 1, 5, "'name' must be a string"),
-    ], ids=["size-float", "size-str", "size-bool", "sizes-int", "sizes-empty", "rows-ragged",
-            "rows-wide", "p-str", "p-bool", "seed-float", "seed-bool", "name-int"])
+    ], ids=["size-float", "size-str", "size-bool", "sizes-int", "sizes-empty", "sizes-one",
+            "rows-ragged", "rows-wide", "p-str", "p-bool", "seed-float", "seed-bool", "name-int"])
     def test_block_model_checks_its_inputs(self, sizes, probabilities, seed, name, match):
         # nothing is rounded or coerced into a model the caller did not ask for
         with pytest.raises(ConfigInvalid, match=match):
@@ -93,7 +94,8 @@ class TestSpecBuilders:
         ((100.0, 2, 0.3, 0.1), "'nodes' must be an integer >= 1"),
         ((100, 2, "0.3", 0.1), r"'p_in' must be a real number, got '0\.3'"),
         ((100, 2, 0.3, True), "'p_out' must be a real number"),
-    ], ids=["classes-zero", "nodes-float", "p_in-str", "p_out-bool"])
+        ((1, 1, 0.3, 0.1), "at least two nodes"),
+    ], ids=["classes-zero", "nodes-float", "p_in-str", "p_out-bool", "one-node"])
     def test_uniform_checks_its_inputs(self, args, match):
         with pytest.raises(ConfigInvalid, match=match):
             uniform_spec(*args, seed=1)

@@ -50,6 +50,13 @@ class TestBuildGraph:
         with pytest.raises(AsymmetricInput):
             build_graph(np.zeros((2, 3)))
 
+    def test_fewer_than_two_nodes_refused(self):
+        # every measure, Ward cut and reject curve is about pairs of nodes, so
+        # no graph reaches FamilyEvaluator with a node of degree 0
+        for a in (np.zeros((0, 0)), np.zeros((1, 1))):
+            with pytest.raises(AsymmetricInput, match="at least two nodes"):
+                build_graph(a)
+
     def test_self_loop_rejected(self):
         a = np.array([[1.0, 1], [1, 0]])
         with pytest.raises(NonzeroDiagonal):

@@ -18,6 +18,7 @@ from kernelbench import (
 from kernelbench.acceptance import grounded_resistance, neumann_series
 from kernelbench.clustering import _checked_sqdist
 from kernelbench.errors import (
+    AsymmetricInput,
     DegenerateKernel,
     Disconnected,
     KernelBenchError,
@@ -25,7 +26,6 @@ from kernelbench.errors import (
     NotFound,
     NumericalOverflow,
     ParameterOutOfRange,
-    ZeroDegree,
 )
 from kernelbench.evaluation import _graph_cells
 from kernelbench.families import DistanceMatrix, ProximityMatrix
@@ -308,9 +308,10 @@ class TestSigmoidKernels:
             _sigmoid_kernel(np.ones((3, 3)), 0.0, 1.0, "SCT")
 
     def test_single_node_zero_degree(self):
-        ev = FamilyEvaluator(build_graph(np.zeros((1, 1))))
-        with pytest.raises(ZeroDegree):
-            ev.matrix("SCCT", 0.5)
+        # a one-node graph, whose degree 0 SCCT cannot normalize by, is refused
+        # where it is built, so cct_base never sees it
+        with pytest.raises(AsymmetricInput, match="at least two nodes"):
+            FamilyEvaluator(build_graph(np.zeros((1, 1)))).matrix("SCCT", 0.5)
 
 
 def _rsp_fe(g, beta, variant):
@@ -322,9 +323,10 @@ def _rsp_fe(g, beta, variant):
 class TestRspFe:
     @pytest.mark.parametrize("name", ["RSP", "FE"])
     def test_single_node_zero_degree(self, name):
-        ev = FamilyEvaluator(build_graph(np.zeros((1, 1))))
-        with pytest.raises(ZeroDegree, match=f"{name} needs all degrees positive"):
-            ev.matrix(name, 0.5)
+        # the random walk of a one-node graph has no step to take; the graph is
+        # refused where it is built, before any RSP or FE cell
+        with pytest.raises(AsymmetricInput, match="at least two nodes"):
+            FamilyEvaluator(build_graph(np.zeros((1, 1)))).matrix(name, 0.5)
 
     def test_k2_symmetric_zero_diagonal(self, k2):
         for variant in ("RSP", "FE"):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import kernelbench
+from kernelbench import errors
 
 SOURCES = sorted(Path(kernelbench.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -138,3 +139,14 @@ def test_runner_calls_the_names_perfbench_patches():
               and node not in tree.body for alias in node.names}
     assert patched <= global_imports & called, sorted(patched - (global_imports & called))
     assert not patched & other, sorted(patched & other)
+
+
+def test_every_error_class_is_raised():
+    # an error class that no module raises or builds is dead code: nothing
+    # can catch it, and a test of it tests only itself
+    classes = {name for name, obj in vars(errors).items() if isinstance(obj, type)
+               and issubclass(obj, errors.KernelBenchError) and obj is not errors.KernelBenchError}
+    built = {node.func.id for path in MODULES if path.name != "errors.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert classes and not classes - built, sorted(classes - built)

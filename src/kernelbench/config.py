@@ -15,8 +15,8 @@ from pathlib import Path
 import yaml
 
 from .datasets import read_text
-from .errors import ConfigInvalid
-from .evaluation import Statistic
+from .errors import ConfigInvalid, ParameterOutOfRange
+from .evaluation import Statistic, checked_count
 from .families import FAMILIES
 from .generators import BlockModelSpec, block_model_spec, uniform_spec
 
@@ -31,9 +31,6 @@ KIND_KEYS = {
 KINDS = tuple(KIND_KEYS)
 _UNIFORM_TASK_KEYS = {"nodes", "classes", "p_in", "p_out"}
 _GENERAL_TASK_KEYS = {"sizes", "probabilities"}  # and an optional "name"
-
-# Integer settings and their least values.
-_LEAST = {"seed": 0, "workers": 0, "grid": 1, "graphs": 1}
 
 
 @dataclass(frozen=True)
@@ -55,12 +52,12 @@ def _require(condition: bool, message: str) -> None:
 
 
 def check_count(key: str, value) -> int:
-    """``value`` if it is an integer of at least the least value of the
-    setting ``key`` (seed, workers, grid or graphs); else ConfigInvalid."""
-    # bool is an int subclass, so YAML's true/false would pass as 1/0
-    _require(isinstance(value, int) and not isinstance(value, bool) and value >= _LEAST[key],
-             f"'{key}' must be an integer >= {_LEAST[key]}")
-    return value
+    """``evaluation.checked_count`` of the setting ``key`` (seed, workers,
+    grid or graphs), raising ConfigInvalid."""
+    try:
+        return checked_count(key, value)
+    except ParameterOutOfRange as exc:
+        raise ConfigInvalid(str(exc)) from None
 
 
 def _statistic(key: str, value) -> Statistic:

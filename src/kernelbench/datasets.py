@@ -10,11 +10,12 @@ The format follows the file's suffix:
   path, ``.labels`` extension) holding one class per line in node order.
 
 Node ids are remapped to 0..N-1 in declaration order for GML and
-first-appearance order for edge lists.  One assembler builds both formats'
-graphs, and a pair listed twice must carry one weight.  Data files are not
-vendored; ``scripts/fetch_datasets.py`` documents where to get them and
-checks hashes.  Registered datasets are read from the directory named by
-the ``KERNELBENCH_DATA`` environment variable (default ``./data``).
+first-appearance order for edge lists.  One function, ``_adjacency``,
+checks both formats' edges, and a pair listed twice must carry one
+weight.  Data files are not vendored; ``scripts/fetch_datasets.py``
+documents where to get them and checks hashes.  Registered datasets are
+read from the directory named by the ``KERNELBENCH_DATA`` environment
+variable (default ``./data``).
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _load_gml(path: Path) -> Graph:
             raise ParseError(f"{path.name}: duplicate node id {node_id}")
         node_index[node_id] = len(node_index)
         raw_labels.append(_scalar(node, "value", path.name))
-    # the assembler checks each weight
+    # _adjacency checks each weight
     edges = [(_scalar(e, "source", path.name), _scalar(e, "target", path.name),
               _first(e, "weight", 1.0), path.name)
              for e in _blocks(graphs[0], "edge", path.name)]
@@ -173,7 +174,7 @@ def _load_gml(path: Path) -> Graph:
         raise ParseError(f"{path.name}: a graph needs at least two nodes, got {len(node_index)}")
     if None in raw_labels:
         raise MissingLabels(f"{path.name}: {raw_labels.count(None)} nodes have no 'value' attribute")
-    return _assemble(node_index, edges, raw_labels)
+    return _labeled(_adjacency(node_index, edges), raw_labels)
 
 
 # -- edge list ----------------------------------------------------------------
@@ -201,6 +202,8 @@ def _load_edgelist(path: Path) -> Graph:
         edges.append((u, v, parts[2] if len(parts) == 3 else 1.0, f"{path.name}:{lineno}"))
     if not node_index:
         raise ParseError(f"{path.name}: no edges")
+    # before the sidecar, so a bad edge is not reported as a label count
+    adjacency = _adjacency(node_index, edges)
 
     raw = []
     lines = read_text(labels_path, "label sidecar", ParseError).splitlines()
@@ -212,11 +215,11 @@ def _load_edgelist(path: Path) -> Graph:
                 raise ParseError(f"{labels_path.name}:{lineno}: labels must be integers") from None
     if len(raw) != len(node_index):
         raise ParseError(f"{labels_path.name}: {len(raw)} labels for {len(node_index)} nodes")
-    return _assemble(node_index, edges, raw)
+    return _labeled(adjacency, raw)
 
 
-def _assemble(node_index: dict, edges: list, raw_labels: list) -> Graph:
-    """The graph of edges ``(u, v, weight, where)``; classes numbered by first appearance."""
+def _adjacency(node_index: dict, edges: list) -> np.ndarray:
+    """The weighted adjacency of edges ``(u, v, weight, where)``, each checked."""
     adjacency = np.zeros((len(node_index),) * 2)
     for u, v, weight, where in edges:
         try:
@@ -233,6 +236,11 @@ def _assemble(node_index: dict, edges: list, raw_labels: list) -> Graph:
             raise ParseError(f"{where}: edge ({u},{v}) has weight {w!r}, but its pair was "
                              f"listed before with weight {adjacency.item(i, j)!r}")
         adjacency[i, j] = adjacency[j, i] = w
+    return adjacency
+
+
+def _labeled(adjacency: np.ndarray, raw_labels: list) -> Graph:
+    """The graph of ``adjacency``; classes numbered by first appearance."""
     classes: dict = {}
     return build_graph(adjacency, [classes.setdefault(c, len(classes)) for c in raw_labels])
 

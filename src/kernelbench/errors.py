@@ -56,10 +56,6 @@ class NonPositiveEntry(KernelBenchError):
     """Elementwise logarithm (or division) hit an entry <= 0."""
 
 
-class DegenerateKernel(KernelBenchError):
-    """Kernel matrix is constant; sigmoid normalization is undefined."""
-
-
 class NegativeDistance(KernelBenchError):
     """Distance has a non-finite entry or one below the clamping tolerance."""
 

@@ -10,12 +10,12 @@ Tournaments reduce each family's grid to one statistic per graph (max or a
 percentile), then award +1/-1 per pairwise win/loss.  Reject curves compare
 inter-class vs intra-class distances directly, independent of clustering.
 
-A protocol call checks its families, grid and graph count, then makes its
-graphs once, in the calling process; all of its stages read them.  One
-per-graph job evaluates every (family, parameter) cell of a graph; the
-jobs are embarrassingly parallel, every cell runs on one BLAS thread, and
-results are aggregated in a fixed sort order, so outputs are identical for
-any worker count.  Pooled calls of one size reuse one kept process pool, so
+A protocol call checks its families, grid, graph count and worker count,
+then makes its graphs once, in the calling process; all of its stages read
+them.  One per-graph job evaluates every (family, parameter) cell of a
+graph; the jobs are embarrassingly parallel, every cell runs on one BLAS
+thread, and results are aggregated in graph order, so outputs are
+identical for any worker count.  Pooled calls of one size reuse one kept process pool, so
 its workers are forked once per process, not once per call.
 """
 
@@ -40,7 +40,7 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .families import DistanceMatrix, family
-from .generators import BlockModelSpec, generate
+from .generators import BlockModelSpec, generate, is_integer
 from .measures import FamilyEvaluator
 from .transforms import clustering_sqdist, reject_distance
 
@@ -55,10 +55,21 @@ REJECT_XS = np.linspace(0.0, 1.0, 1001)
 REJECT_XS.setflags(write=False)
 
 
+# The least value of each count a protocol call or a config takes.
+_COUNT_LEAST = {"seed": 0, "workers": 0, "grid": 1, "graphs": 1}
+
+
+def checked_count(key: str, value) -> int:
+    """``value`` as an int if it is an integer (``is_integer``) of at least
+    ``_COUNT_LEAST[key]``; else ParameterOutOfRange."""
+    if not (is_integer(value) and value >= _COUNT_LEAST[key]):
+        raise ParameterOutOfRange(f"'{key}' must be an integer >= {_COUNT_LEAST[key]}")
+    return int(value)
+
+
 def parameter_grid(size: int) -> np.ndarray:
     """Evenly spaced normalized parameters on [GRID_MARGIN, 1 - GRID_MARGIN]."""
-    if size < 1:
-        raise ParameterOutOfRange(f"grid size must be >= 1, got {size}")
+    size = checked_count("grid", size)
     lo, hi = GRID_MARGIN, 1.0 - GRID_MARGIN
     if size == 1:
         return np.array([(lo + hi) / 2.0])
@@ -118,10 +129,10 @@ def _graph_cells(args):
     """Every (family, parameter) cell of one graph.
 
     Returns the (n_families, len(grid)) ARI table and the error cells as
-    (family_index, grid_index, marker); error cells hold -1.0.  Cells run
-    parameter-major, so RSP and FE at one parameter share one fundamental
-    matrix.  The Ward inputs are clustered in stacks of up to STACK_ENTRIES
-    entries; ``clustering_sqdist`` is their one check.
+    (family_index, grid_index, marker) in grid order; error cells hold
+    -1.0.  Cells run parameter-major, so RSP and FE at one parameter share
+    one fundamental matrix.  The Ward inputs are clustered in stacks of up
+    to STACK_ENTRIES entries; ``clustering_sqdist`` is their one check.
     """
     g, families, grid = args
     evaluator = FamilyEvaluator(g)
@@ -267,17 +278,19 @@ def _run_jobs(fn, jobs, pool):
     return list(map(fn, jobs) if pool is None else pool.map(fn, jobs))
 
 
-def _checked_inputs(families, grid, n_graphs: int) -> tuple[list, np.ndarray]:
+def _checked_inputs(families, grid, n_graphs, workers) -> tuple[list, np.ndarray]:
     """A protocol call's families as a list and its grid as float64.  An
-    unknown family raises NotFound, and no graph or no grid point raises
-    ParameterOutOfRange, before any graph is made or any job runs."""
+    unknown family raises NotFound, and a graph or worker count that
+    ``checked_count`` refuses, or an empty grid, ParameterOutOfRange, before
+    any graph is made or any job runs."""
     families = list(families)
     for name in families:
         family(name)
+    checked_count("graphs", n_graphs)
+    checked_count("workers", workers)
     grid = np.asarray(grid, dtype=np.float64)
-    if n_graphs < 1 or grid.size == 0:
-        raise ParameterOutOfRange("a protocol call needs a graph and a grid point, "
-                                  f"got {n_graphs} graphs and {grid.size} points")
+    if grid.size == 0:
+        raise ParameterOutOfRange("a protocol call needs a grid point, got none")
     return families, grid
 
 
@@ -286,22 +299,21 @@ def _sweep_sources(graphs, families, grid, pool) -> dict[str, SweepResult]:
     family, graphs in list order."""
     jobs = [(g, families, grid) for g in graphs]
     tables = np.empty((len(families), len(jobs), grid.shape[0]))
-    errors = []
+    # jobs list their error cells in grid order, so each family's list is in
+    # (graph, grid index) order
+    errors = [[] for _ in families]
     for gi, (table, errs) in enumerate(_run_jobs(_graph_cells, jobs, pool)):
         tables[:, gi] = table
-        errors.extend((fi, gi, j, marker) for fi, j, marker in errs)
-    errors.sort()
-    return {
-        name: SweepResult(name, grid, tables[fi],
-                          tuple((gi, j, marker) for efi, gi, j, marker in errors if efi == fi))
-        for fi, name in enumerate(families)
-    }
+        for fi, j, marker in errs:
+            errors[fi].append((gi, j, marker))
+    return {name: SweepResult(name, grid, tables[fi], tuple(errors[fi]))
+            for fi, name in enumerate(families)}
 
 
 def sweep_task(spec: BlockModelSpec, families, grid, n_graphs: int,
                workers: int = 1) -> dict[str, SweepResult]:
     """Sweep every family over ``n_graphs`` samples of one block model task."""
-    families, grid = _checked_inputs(families, grid, n_graphs)
+    families, grid = _checked_inputs(families, grid, n_graphs, workers)
     graphs = [generate(spec, i) for i in range(n_graphs)]
     with _pool(workers, n_graphs) as pool:
         return _sweep_sources(graphs, families, grid, pool)
@@ -309,7 +321,7 @@ def sweep_task(spec: BlockModelSpec, families, grid, n_graphs: int,
 
 def sweep_graphs(graphs, families, grid) -> dict[str, SweepResult]:
     """Sweep every family over an explicit list of labeled graphs, serially."""
-    families, grid = _checked_inputs(families, grid, len(graphs))
+    families, grid = _checked_inputs(families, grid, len(graphs), 1)
     with _pool(1, 1) as pool:
         return _sweep_sources(graphs, families, grid, pool)
 
@@ -433,7 +445,7 @@ def reject_experiment(spec: BlockModelSpec, families, grid, n_graphs: int,
     dropped from that family's average; a family that errors on every graph
     gets None in place of its curve.
     """
-    families, grid = _checked_inputs(families, grid, n_graphs)
+    families, grid = _checked_inputs(families, grid, n_graphs, workers)
     graphs = [generate(spec, i) for i in range(n_graphs)]
     with _pool(workers, n_graphs) as pool:
         sweeps = _sweep_sources(graphs, families, grid, pool)

@@ -49,13 +49,15 @@ class BlockModelSpec:
         return np.repeat(np.arange(len(self.sizes)), self.sizes)
 
 
-def _is_int(value) -> bool:
-    # numpy integers are Integral; bool is an int subclass, so true would pass as 1
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer: an Integral, numpy's included, that
+    is not a bool (an int subclass, so true would pass as 1).  Every count
+    and seed the library takes is one."""
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _positive_int(key: str, value) -> int:
-    if not (_is_int(value) and value >= 1):
+    if not (is_integer(value) and value >= 1):
         raise ConfigInvalid(f"'{key}' must be an integer >= 1")
     return int(value)
 
@@ -90,7 +92,7 @@ def block_model_spec(sizes, probabilities, seed: int, name: str = "") -> BlockMo
         raise ConfigInvalid("edge probabilities must lie in [0, 1]")
     if not np.array_equal(p, p.T):
         raise ConfigInvalid("probability matrix must be symmetric")
-    if not (_is_int(seed) and 0 <= seed <= _M64):
+    if not (is_integer(seed) and 0 <= seed <= _M64):
         raise ConfigInvalid("seed must be an unsigned 64-bit integer")
     p.setflags(write=False)
     if not name:

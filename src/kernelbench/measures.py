@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DegenerateKernel,
     Disconnected,
     NonPositiveEntry,
     NumericalOverflow,
@@ -79,12 +78,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _sigmoid_kernel(base: np.ndarray, sigma: float, t: float, name: str) -> ProximityMatrix:
-    if not (sigma > 0.0):
-        raise DegenerateKernel(f"{name}: base kernel is constant (sigma = {sigma:g})")
-    return ProximityMatrix(_stable_sigmoid(t * base / sigma), name, t)
-
-
 class FamilyEvaluator:
     """Evaluates measure families on one graph, caching shared spectral state.
 
@@ -125,6 +118,8 @@ class FamilyEvaluator:
 
     @cached_property
     def ct_sigma(self) -> float:
+        # positive: L+ has zero row sums and a positive diagonal, so it is
+        # never constant
         return float(self.lap_pinv.std())
 
     @cached_property
@@ -142,6 +137,8 @@ class FamilyEvaluator:
 
     @cached_property
     def cct_sigma(self) -> float:
+        # positive: the base is double-centred, so constant only where it is
+        # 0, which needs A = dd^T/vol; A's zero diagonal rules that out
         return float(self.cct_base.std())
 
     @cached_property
@@ -207,15 +204,14 @@ class FamilyEvaluator:
                 return ProximityMatrix(logged.matrix + top, name, t)
             return logged
         if name == "SCT":
-            return _sigmoid_kernel(self.lap_pinv, self.ct_sigma, t, "SCT")
+            return ProximityMatrix(_stable_sigmoid(t * self.lap_pinv / self.ct_sigma), name, t)
         if name == "SCCT":
-            return _sigmoid_kernel(self.cct_base, self.cct_sigma, t, "SCCT")
+            return ProximityMatrix(_stable_sigmoid(t * self.cct_base / self.cct_sigma), name, t)
         if name in ("RSP", "FE"):
             return self._rsp_fe(t, name)
-        if name == "SP-CT":
-            blend = (1.0 - t) * self.sp_matrix + t * self.resistance_matrix
-            return distance_matrix(blend, "SP-CT", t)
-        raise AssertionError(f"unhandled family {name}")  # pragma: no cover
+        # SP-CT: raw_parameter has refused every name outside the 13 families
+        blend = (1.0 - t) * self.sp_matrix + t * self.resistance_matrix
+        return distance_matrix(blend, "SP-CT", t)
 
     def _keep(self, key, build):
         """The value kept under ``key``, else ``build()``'s, made read-only.

@@ -322,6 +322,23 @@ class TestConfig:
             config_from_dict({"kind": "sweep", "families": ["Heat"], key: value,
                               "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5, "p_out": 0.1}]})
 
+    @pytest.mark.parametrize("key", ["seed", "grid", "graphs", "workers"])
+    @pytest.mark.parametrize("value, accepted", [
+        (np.int64(3), True), (np.uint8(3), True), (3.0, False), (np.float64(3), False),
+        ("3", False), (np.bool_(True), False),
+    ], ids=["int64", "uint8", "float", "float64", "string", "numpy-bool"])
+    def test_counts_follow_one_rule(self, key, value, accepted):
+        # an integer is an Integral, numpy's included, that is not a bool
+        cfg = config_from_dict({"kind": "sweep", "families": ["Heat"],
+                                "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5,
+                                           "p_out": 0.1}]})
+        if not accepted:
+            with pytest.raises(ConfigInvalid, match=f"^'{key}' must be an integer >= "):
+                apply_overrides(cfg, **{key: value})
+            return
+        # the manifest holds a plain int
+        assert type(config_to_dict(apply_overrides(cfg, **{key: value}))[key]) is int
+
     def test_boolean_override_rejected(self):
         cfg = config_from_dict({"kind": "sweep", "families": ["Heat"],
                                 "tasks": [{"nodes": 10, "classes": 2, "p_in": 0.5, "p_out": 0.1}]})

@@ -231,7 +231,11 @@ class TestEdgeList:
         ("# no edges\n\n", "", r"g\.edges: no edges"),
         ("0 1\n", "0\nright\n", r"g\.labels:2: labels must be integers"),
         ("5 6\n6 7\n7 7\n", "0\n0\n1\n", r"g\.edges:3: self-loop on node 7"),
-    ], ids=["non-integer-node", "no-edges", "non-integer-label", "self-loop"])
+        # a self-loop on a node no other edge names is the file's fault, not
+        # the sidecar's: it is reported before the label count is compared
+        ("0 1\n1 2\n3 3\n", "0\n0\n1\n", r"g\.edges:3: self-loop on node 3"),
+    ], ids=["non-integer-node", "no-edges", "non-integer-label", "self-loop",
+            "self-loop-new-node"])
     def test_malformed_file(self, tmp_path, edges, labels, match):
         (tmp_path / "g.edges").write_text(edges)
         (tmp_path / "g.labels").write_text(labels)

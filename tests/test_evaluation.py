@@ -81,6 +81,12 @@ class TestParameterGrid:
         with pytest.raises(ParameterOutOfRange):
             parameter_grid(0)
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, True, "3", None])
+    def test_size_is_a_count(self, size):
+        # an integer, numpy's too, that is not a bool, as a config's grid is
+        with pytest.raises(ParameterOutOfRange, match="'grid' must be an integer >= 1"):
+            parameter_grid(size)
+
 
 class TestStatistic:
     def test_parse(self):
@@ -170,6 +176,23 @@ class TestSweep:
             assert np.array_equal(listed[name].ari, pooled[name].ari)
             assert listed[name].errors == pooled[name].errors
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_cells_in_graph_then_grid_order(self, workers):
+        # Walk and logComm fail on graph 2's first cell, SCCT on a run of
+        # cells of every graph: each family's errors are its graphs' error
+        # cells, graph by graph, each graph's in grid order
+        spec = uniform_spec(30, 3, 0.4, 0.03, seed=2)
+        grid = parameter_grid(12)
+        one_by_one = [sweep_graphs([generate(spec, gi)], FAMILY_NAMES, grid) for gi in range(3)]
+        sweeps = sweep_task(spec, FAMILY_NAMES, grid, 3, workers)
+        for name in FAMILY_NAMES:
+            expected = sorted((gi, j, marker) for gi, alone in enumerate(one_by_one)
+                              for _, j, marker in alone[name].errors)
+            assert sweeps[name].errors == tuple(expected)
+        failing = [name for name in FAMILY_NAMES if sweeps[name].errors]
+        assert failing == ["Walk", "logComm", "SCCT"]
+        assert {gi for gi, _, _ in sweeps["SCCT"].errors} == {0, 1, 2}
+
     @pytest.mark.parametrize("stack_size", [1, 3])
     def test_stack_size_changes_no_cell(self, monkeypatch, stack_size):
         # The default budget clusters all 28 cells in one stack.  Comm
@@ -216,6 +239,26 @@ class TestProtocolCall:
         with pytest.raises(error):
             protocol(self.SPEC, families, grid, n_graphs)
         assert generated == []
+
+    @pytest.mark.parametrize("protocol", [sweep_task, reject_experiment])
+    @pytest.mark.parametrize("n_graphs, workers, key", [
+        (2.0, 1, "graphs"), (True, 1, "graphs"), (np.float64(2), 1, "graphs"),
+        (2, 2.5, "workers"), (2, -1, "workers"), (2, True, "workers"), (2, "2", "workers"),
+    ], ids=["graphs-float", "graphs-bool", "graphs-float64", "workers-float",
+            "workers-negative", "workers-bool", "workers-string"])
+    def test_counts_refused_before_any_graph(self, generated, protocol, n_graphs, workers,
+                                             key):
+        # a count is an integer (numpy's too, not a bool) of at least its
+        # config setting's least value
+        with pytest.raises(ParameterOutOfRange, match=f"'{key}' must be an integer >= "):
+            protocol(self.SPEC, ("Heat",), self.GRID, n_graphs, workers)
+        assert generated == []
+
+    def test_numpy_integers_are_counts(self):
+        assert np.array_equal(parameter_grid(np.int64(3)), parameter_grid(3))
+        numpy_counts = sweep_task(self.SPEC, ("Heat",), self.GRID, np.int64(2), np.int32(0))
+        assert np.array_equal(numpy_counts["Heat"].ari,
+                              sweep_task(self.SPEC, ("Heat",), self.GRID, 2, 0)["Heat"].ari)
 
     @pytest.mark.parametrize("graphs, families, grid, error", [
         (1, ("Bogus",), GRID, NotFound),

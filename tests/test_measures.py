@@ -19,7 +19,6 @@ from kernelbench.acceptance import grounded_resistance, neumann_series
 from kernelbench.clustering import _checked_sqdist
 from kernelbench.errors import (
     AsymmetricInput,
-    DegenerateKernel,
     Disconnected,
     KernelBenchError,
     NonPositiveEntry,
@@ -29,7 +28,7 @@ from kernelbench.errors import (
 )
 from kernelbench.evaluation import _graph_cells
 from kernelbench.families import DistanceMatrix, ProximityMatrix
-from kernelbench.measures import FamilyEvaluator, _sigmoid_kernel
+from kernelbench.measures import FamilyEvaluator, _stable_sigmoid
 from kernelbench.transforms import clustering_sqdist
 
 # Ratio families take t = p/(1-p): p = 0.5 gives t = 1 exactly,
@@ -291,11 +290,11 @@ class TestSigmoidKernels:
         ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         ref[~pos] = ex / (1.0 + ex)
-        assert np.array_equal(_sigmoid_kernel(x, 1.0, 1.0, "SCT").matrix, ref)
+        assert np.array_equal(_stable_sigmoid(x), ref)
 
     def test_zero_base_entry_maps_to_half(self):
         base = np.array([[0.0, 1.0], [1.0, 0.0]])
-        k = _sigmoid_kernel(base, float(base.std()), 1.0, "SCT").matrix
+        k = _stable_sigmoid(base / float(base.std()))
         assert k[0, 0] == pytest.approx(0.5)
         assert k[1, 1] == pytest.approx(0.5)
 
@@ -303,9 +302,23 @@ class TestSigmoidKernels:
         ev = FamilyEvaluator(k3)
         assert ev.ct_sigma == pytest.approx(float(ev.lap_pinv.std()))
 
-    def test_constant_base_degenerate(self):
-        with pytest.raises(DegenerateKernel):
-            _sigmoid_kernel(np.ones((3, 3)), 0.0, 1.0, "SCT")
+    @pytest.mark.parametrize("graph", ["k2", "p3", "star4", "c4", "k5", "weighted"])
+    def test_sigmas_positive(self, request, connected_graph_factory, graph):
+        # SCT and SCCT divide by these without a check: L+ and the
+        # double-centred CCT base are never constant on a connected graph of
+        # two nodes or more
+        if graph == "star4":
+            a = np.zeros((5, 5))
+            a[0, 1:] = a[1:, 0] = 1.0
+            graphs = [build_graph(a)]
+        elif graph == "weighted":
+            graphs = [connected_graph_factory(n, weighted=True) for n in (2, 3, 7, 12, 25)]
+        else:
+            graphs = [request.getfixturevalue(graph)]
+        for g in graphs:
+            ev = FamilyEvaluator(g)
+            assert ev.ct_sigma > 0.0
+            assert ev.cct_sigma > 0.0
 
     def test_single_node_zero_degree(self):
         # a one-node graph, whose degree 0 SCCT cannot normalize by, is refused

@@ -1,6 +1,8 @@
 """Static checks over the package source."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,3 +152,13 @@ def test_every_error_class_is_raised():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert classes and not classes - built, sorted(classes - built)
+
+
+def test_design_counts_script_prints_integer_counts():
+    script = Path(__file__).parents[1] / "scripts" / "design_counts.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         check=True).stdout
+    counts = dict(line.split(": ") for line in out.splitlines())
+    assert list(counts) == ["src_lines", "test_lines", "defaulted_parameters",
+                            "settable_kind_keys", "error_classes"]
+    assert all(value.isdigit() for value in counts.values()), counts

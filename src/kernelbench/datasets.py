@@ -12,10 +12,11 @@ The format follows the file's suffix:
 Node ids are remapped to 0..N-1 in declaration order for GML and
 first-appearance order for edge lists.  One function, ``_adjacency``,
 checks both formats' edges, and a pair listed twice must carry one
-weight.  Data files are not vendored; ``scripts/fetch_datasets.py``
-documents where to get them and checks hashes.  Registered datasets are
-read from the directory named by the ``KERNELBENCH_DATA`` environment
-variable (default ``./data``).
+weight.  An existing file that ``build_graph`` refuses is a ParseError
+naming the file, whatever is wrong with it.  Data files are not vendored;
+``scripts/fetch_datasets.py`` documents where to get them and checks
+hashes.  Registered datasets are read from the directory named by the
+``KERNELBENCH_DATA`` environment variable (default ``./data``).
 """
 
 from __future__ import annotations
@@ -27,15 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DatasetMissing,
-    Disconnected,
-    KernelBenchError,
-    MissingLabels,
-    NotFound,
-    ParseError,
-)
-from .graph import Graph, build_graph, is_connected
+from .errors import DatasetMissing, KernelBenchError, NotFound, ParseError
+from .graph import Graph, build_graph
 
 DATA_ENV = "KERNELBENCH_DATA"
 
@@ -170,11 +164,9 @@ def _load_gml(path: Path) -> Graph:
               _first(e, "weight", 1.0), path.name)
              for e in _blocks(graphs[0], "edge", path.name)]
 
-    if len(node_index) < 2:
-        raise ParseError(f"{path.name}: a graph needs at least two nodes, got {len(node_index)}")
     if None in raw_labels:
-        raise MissingLabels(f"{path.name}: {raw_labels.count(None)} nodes have no 'value' attribute")
-    return _labeled(_adjacency(node_index, edges), raw_labels)
+        raise ParseError(f"{path.name}: {raw_labels.count(None)} nodes have no 'value' attribute")
+    return _labeled(_adjacency(node_index, edges), raw_labels, path.name)
 
 
 # -- edge list ----------------------------------------------------------------
@@ -182,7 +174,7 @@ def _load_gml(path: Path) -> Graph:
 def _load_edgelist(path: Path) -> Graph:
     labels_path = path.with_suffix(".labels")
     if not labels_path.exists():
-        raise MissingLabels(f"label sidecar {labels_path.name} not found next to {path.name}")
+        raise ParseError(f"label sidecar {labels_path.name} not found next to {path.name}")
 
     node_index: dict[int, int] = {}
     edges = []
@@ -215,7 +207,7 @@ def _load_edgelist(path: Path) -> Graph:
                 raise ParseError(f"{labels_path.name}:{lineno}: labels must be integers") from None
     if len(raw) != len(node_index):
         raise ParseError(f"{labels_path.name}: {len(raw)} labels for {len(node_index)} nodes")
-    return _labeled(adjacency, raw)
+    return _labeled(adjacency, raw, path.name)
 
 
 def _adjacency(node_index: dict, edges: list) -> np.ndarray:
@@ -239,10 +231,14 @@ def _adjacency(node_index: dict, edges: list) -> np.ndarray:
     return adjacency
 
 
-def _labeled(adjacency: np.ndarray, raw_labels: list) -> Graph:
-    """The graph of ``adjacency``; classes numbered by first appearance."""
+def _labeled(adjacency: np.ndarray, raw_labels: list, filename: str) -> Graph:
+    """The graph of ``adjacency``; classes numbered by first appearance.  A
+    graph ``build_graph`` refuses is a ParseError naming ``filename``."""
     classes: dict = {}
-    return build_graph(adjacency, [classes.setdefault(c, len(classes)) for c in raw_labels])
+    try:
+        return build_graph(adjacency, [classes.setdefault(c, len(classes)) for c in raw_labels])
+    except KernelBenchError as exc:
+        raise ParseError(f"{filename}: {exc}") from None
 
 
 # -- public api ----------------------------------------------------------------
@@ -251,15 +247,13 @@ def load_graph(path: str | Path) -> Graph:
     """Load a labeled graph from a GML file (``.gml``) or an edge-list file
     (any other suffix) with its label sidecar.
 
-    The graph must be connected; the benchmark protocols assume it.
+    An existing file that does not make a connected, labeled graph of two
+    nodes or more raises ParseError, naming the file.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetMissing(f"no such file: {path}")
-    g = _load_gml(path) if path.suffix.lower() == ".gml" else _load_edgelist(path)
-    if not is_connected(g):
-        raise Disconnected(f"{path.name}: graph is not connected")
-    return g
+    return _load_gml(path) if path.suffix.lower() == ".gml" else _load_edgelist(path)
 
 
 def load_dataset(name: str) -> Graph:

@@ -29,7 +29,7 @@ class LabelOutOfRange(KernelBenchError):
 
 
 class Disconnected(KernelBenchError):
-    """Operation requires a connected graph."""
+    """A graph is not connected, or a Laplacian's zero mode is not single."""
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -87,10 +87,6 @@ class CannotConnect(KernelBenchError):
 
 class ParseError(KernelBenchError):
     """Dataset file is malformed or does not match its descriptor."""
-
-
-class MissingLabels(KernelBenchError):
-    """Dataset file carries no ground-truth class labels."""
 
 
 class NotFound(KernelBenchError):

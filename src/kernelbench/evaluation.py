@@ -281,16 +281,23 @@ def _run_jobs(fn, jobs, pool):
 def _checked_inputs(families, grid, n_graphs, workers) -> tuple[list, np.ndarray]:
     """A protocol call's families as a list and its grid as float64.  An
     unknown family raises NotFound, and a graph or worker count that
-    ``checked_count`` refuses, or an empty grid, ParameterOutOfRange, before
-    any graph is made or any job runs."""
+    ``checked_count`` refuses, or a grid that is not a nonempty 1-D array of
+    points in [0, 1], ParameterOutOfRange, before any graph is made or any
+    job runs."""
     families = list(families)
     for name in families:
         family(name)
     checked_count("graphs", n_graphs)
     checked_count("workers", workers)
     grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1:
+        raise ParameterOutOfRange(f"a protocol grid must be one-dimensional, got shape {grid.shape}")
     if grid.size == 0:
         raise ParameterOutOfRange("a protocol call needs a grid point, got none")
+    # NaN fails both comparisons
+    outside = ~((grid >= 0.0) & (grid <= 1.0))
+    if outside.any():
+        raise ParameterOutOfRange(f"grid points must lie in [0, 1], got {grid[outside][0]:g}")
     return families, grid
 
 
@@ -328,7 +335,7 @@ def sweep_graphs(graphs, families, grid) -> dict[str, SweepResult]:
 
 def best_of_grid(result: SweepResult) -> tuple[float, float]:
     """(parameter, ARI) maximizing the graph-averaged ARI; ties take the
-    smaller parameter."""
+    earlier grid point (the smaller one on an increasing grid)."""
     mean = result.ari.mean(axis=0)
     j = int(np.argmax(mean))
     return float(result.grid[j]), float(mean[j])

@@ -19,7 +19,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import CannotConnect, ConfigInvalid
+from .errors import CannotConnect, ConfigInvalid, ParameterOutOfRange
 from .graph import Graph, build_graph, is_connected
 
 MAX_RESAMPLES = 100
@@ -118,7 +118,12 @@ def generate(spec: BlockModelSpec, index: int) -> Graph:
     Each unordered pair (i, j) is an edge independently with probability
     P[class(i), class(j)].  Deterministic given (spec.seed, index); after
     ``MAX_RESAMPLES`` disconnected draws raises :class:`CannotConnect`.
+    The index is an integer (``is_integer``) of at least 0, else
+    :class:`ParameterOutOfRange`.
     """
+    if not (is_integer(index) and index >= 0):
+        raise ParameterOutOfRange(f"graph index must be an integer >= 0, got {index!r}")
+    index = int(index)
     labels = spec.labels()
     n = labels.shape[0]
     iu, ju = np.triu_indices(n, 1)
@@ -131,9 +136,9 @@ def generate(spec: BlockModelSpec, index: int) -> Graph:
         edges = draws < pair_probs
         adjacency[iu[edges], ju[edges]] = 1.0
         adjacency[ju[edges], iu[edges]] = 1.0
-        g = build_graph(adjacency, labels)
-        if is_connected(g):
-            return g
+        # tested first, so a disconnected draw skips build_graph's checks
+        if is_connected(adjacency):
+            return build_graph(adjacency, labels)
     raise CannotConnect(
         f"no connected sample for {spec.name or spec.sizes} after {MAX_RESAMPLES} draws"
     )

@@ -1,9 +1,9 @@
 """Undirected weighted graphs and their derived matrices.
 
 A :class:`Graph` stores a validated symmetric nonnegative adjacency matrix
-with zero diagonal, plus optional ground-truth class labels.  Unweighted
-graphs use 0/1 entries.  Everything here is immutable after construction
-and safe for concurrent reads.
+with zero diagonal, connected and of two nodes or more, plus optional
+ground-truth class labels.  Unweighted graphs use 0/1 entries.  Everything
+here is immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -52,7 +52,9 @@ def build_graph(adjacency: np.ndarray, labels=None) -> Graph:
     within 1e-12, nonnegative, and have an exactly zero diagonal (simple
     graphs only).  It is symmetrized as (A + A^T)/2 after validation to
     remove float asymmetry.
-    Labels, when given, must cover exactly the classes 0..m-1.
+    Labels, when given, must cover exactly the classes 0..m-1.  Last, the
+    graph must be connected, as every measure family assumes, or
+    :class:`Disconnected` is raised.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
@@ -84,6 +86,8 @@ def build_graph(adjacency: np.ndarray, labels=None) -> Graph:
         if present[0] < 0 or not np.array_equal(present, np.arange(present[-1] + 1)):
             raise LabelOutOfRange(f"labels must cover exactly 0..m-1, got {present}")
         lab.setflags(write=False)
+    if not is_connected(a):
+        raise Disconnected("graph is not connected")
     return Graph(a, lab)
 
 
@@ -94,10 +98,10 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff the graph has a single connected component."""
-    n = g.n
-    a = g.adjacency > 0
+def is_connected(adjacency: np.ndarray) -> bool:
+    """True iff the adjacency's graph has a single connected component."""
+    n = adjacency.shape[0]
+    a = adjacency > 0
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     frontier = reached.copy()
@@ -150,8 +154,6 @@ def shortest_path_matrix(g: Graph) -> DistanceMatrix:
     similarities.  Each of its steps adds the same two entries for (i, j)
     and (j, i), so a symmetric input gives an exactly symmetric result.
     """
-    if not is_connected(g):
-        raise Disconnected("shortest paths need a connected graph")
     if g.is_unweighted:
         dist = hop_matrix(g.adjacency).astype(np.float64)
     else:

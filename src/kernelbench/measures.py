@@ -23,12 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    Disconnected,
-    NonPositiveEntry,
-    NumericalOverflow,
-    ParameterOutOfRange,
-)
+from .errors import NonPositiveEntry, NumericalOverflow, ParameterOutOfRange
 from .families import (
     RATIO,
     SPECTRAL,
@@ -37,7 +32,7 @@ from .families import (
     distance_matrix,
     family,
 )
-from .graph import Graph, edge_cost_matrix, is_connected, laplacian, shortest_path_matrix
+from .graph import Graph, edge_cost_matrix, laplacian, shortest_path_matrix
 from .spectral import SymmetricEigen, pinv_from_eigen, solve_linear, spectral_apply, sym_eigen
 from .transforms import proximity_to_distance
 
@@ -84,12 +79,11 @@ class FamilyEvaluator:
     Parameters
     ----------
     g : Graph
-        Connected graph to evaluate on (two nodes or more, so no degree is 0).
+        Graph to evaluate on; ``build_graph`` made it connected with two
+        nodes or more, so no degree is 0.
     """
 
     def __init__(self, g: Graph):
-        if not is_connected(g):
-            raise Disconnected("measure families need a connected graph")
         self.graph = g
         self._kept = None
 

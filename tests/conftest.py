@@ -83,9 +83,8 @@ def random_connected_graph(rng, n, p=0.4, weighted=False, classes=None):
             labels = np.sort(rng.integers(0, classes, size=n))
             labels[: classes] = np.arange(classes)  # every class occurs
             labels = np.sort(labels)
-        g = build_graph(a, labels)
-        if is_connected(g):
-            return g
+        if is_connected(a):
+            return build_graph(a, labels)
 
 
 @pytest.fixture

@@ -233,6 +233,12 @@ class TestProtocolCall:
         (("Heat", "Bogus"), GRID, 2, NotFound),
         (("Heat",), GRID, 0, ParameterOutOfRange),
         (("Heat",), np.array([]), 2, ParameterOutOfRange),
+        # a grid is a 1-D array of normalized parameters in [0, 1]
+        (("Heat", "SP-CT"), [1.5], 2, ParameterOutOfRange),
+        (("Heat", "SP-CT"), [np.nan], 2, ParameterOutOfRange),
+        (("Heat", "SP-CT"), [-0.2], 2, ParameterOutOfRange),
+        (("Heat",), np.full((2, 2), 0.5), 2, ParameterOutOfRange),
+        (("Heat",), 0.5, 2, ParameterOutOfRange),
     ])
     def test_inputs_refused_before_any_graph(self, generated, protocol, families, grid,
                                              n_graphs, error):
@@ -264,10 +270,22 @@ class TestProtocolCall:
         (1, ("Bogus",), GRID, NotFound),
         (0, ("Heat",), GRID, ParameterOutOfRange),
         (1, ("Heat",), [], ParameterOutOfRange),
+        (1, ("Heat",), [0.5, 2.0], ParameterOutOfRange),
+        (1, ("Heat",), [0.5, np.nan], ParameterOutOfRange),
+        (1, ("Heat",), [[0.5]], ParameterOutOfRange),
+        (1, ("Heat",), 0.5, ParameterOutOfRange),
     ])
     def test_sweep_graphs_refuses_inputs(self, graphs, families, grid, error):
         with pytest.raises(error):
             sweep_graphs([generate(self.SPEC, 0)] * graphs, families, grid)
+
+    def test_grid_ends_are_points(self):
+        # 0 and 1 lie in the grid's range: SP-CT takes both, and a ratio
+        # family records each as a cell error
+        sweeps = sweep_task(self.SPEC, ("SP-CT", "SCT"), [0.0, 1.0], 1)
+        assert sweeps["SP-CT"].errors == ()
+        assert sweeps["SCT"].errors == ((0, 0, "ParameterOutOfRange"),
+                                        (0, 1, "ParameterOutOfRange"))
 
     @pytest.mark.parametrize("protocol", [sweep_task, reject_experiment])
     def test_each_graph_generated_once(self, generated, protocol):

@@ -11,7 +11,7 @@ from kernelbench import (
     uniform_spec,
 )
 from kernelbench.config import load_config
-from kernelbench.errors import CannotConnect, ConfigInvalid
+from kernelbench.errors import CannotConnect, ConfigInvalid, ParameterOutOfRange
 
 
 def _complicated():
@@ -119,6 +119,17 @@ class TestGenerate:
         assert np.array_equal(a.adjacency, b.adjacency)
         assert np.array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize("index", [np.int64(3), np.int32(3), np.uint8(3), 2.5, True, -1, "3"],
+                             ids=["int64", "int32", "uint8", "float", "bool", "negative", "string"])
+    def test_index_is_a_count(self, index):
+        # the index is an integer (numpy's too, not a bool) of at least 0
+        spec = uniform_spec(20, 2, 0.5, 0.1, seed=4)
+        if isinstance(index, np.integer):
+            assert np.array_equal(generate(spec, index).adjacency, generate(spec, 3).adjacency)
+        else:
+            with pytest.raises(ParameterOutOfRange, match="graph index must be an integer >= 0"):
+                generate(spec, index)
+
     def test_streams_are_independent_of_order(self):
         spec = uniform_spec(40, 2, 0.4, 0.1, seed=7)
         fresh = generate(spec, 5).adjacency
@@ -145,7 +156,7 @@ class TestGenerate:
     def test_connected_by_construction(self):
         spec = uniform_spec(30, 2, 0.25, 0.02, seed=11)
         for i in range(10):
-            assert is_connected(generate(spec, i))
+            assert is_connected(generate(spec, i).adjacency)
 
     def test_intra_edge_frequency_concentrates(self):
         # binomial concentration: 200 graphs x 2450 intra pairs, 15 sigma margin

@@ -22,11 +22,10 @@ class TestBuildGraph:
         assert g.n == 2
         assert g.labels is None
 
-    def test_empty_graph_valid_but_disconnected(self):
-        g = build_graph(np.zeros((3, 3)))
-        assert g.n == 3
-        assert g.adjacency.sum() == 0
-        assert not is_connected(g)
+    def test_disconnected_rejected(self):
+        # every measure family is defined on a connected graph only
+        with pytest.raises(Disconnected, match="graph is not connected"):
+            build_graph(np.zeros((3, 3)))
 
     def test_negative_weight_rejected(self):
         a = np.array([[0, -1.0], [-1.0, 0]])
@@ -91,19 +90,21 @@ class TestBuildGraph:
 
 class TestConnectivity:
     def test_path_graph_connected(self, p3):
-        assert is_connected(p3)
+        assert is_connected(p3.adjacency)
 
     def test_isolated_nodes(self):
-        assert not is_connected(build_graph(np.zeros((2, 2))))
+        assert not is_connected(np.zeros((2, 2)))
 
     def test_complete_graph(self, k5):
-        assert is_connected(k5)
+        assert is_connected(k5.adjacency)
 
     def test_two_components(self):
         a = np.zeros((4, 4))
         a[0, 1] = a[1, 0] = 1.0
         a[2, 3] = a[3, 2] = 1.0
-        assert not is_connected(build_graph(a))
+        assert not is_connected(a)
+        with pytest.raises(Disconnected):
+            build_graph(a)
 
     def test_matches_fiedler_value(self, rng):
         # connectivity iff the second-smallest Laplacian eigenvalue is positive
@@ -114,9 +115,8 @@ class TestConnectivity:
             edges = rng.random(iu.shape[0]) < rng.uniform(0.03, 0.3)
             a[iu[edges], ju[edges]] = 1.0
             a[ju[edges], iu[edges]] = 1.0
-            g = build_graph(a)
-            fiedler = sym_eigen(laplacian(g)).values[1]
-            assert is_connected(g) == (fiedler > 1e-10)
+            fiedler = sym_eigen(np.diag(a.sum(axis=1)) - a).values[1]
+            assert is_connected(a) == (fiedler > 1e-10)
 
 
 class TestLaplacian:

@@ -108,6 +108,41 @@ def test_process_pools_open_only_in_evaluation_pool():
     assert not outside, f"ProcessPoolExecutor is called outside evaluation._pool: {outside}"
 
 
+def _defs_around(tree, test):
+    """The name of the innermost def around each node ``test`` accepts, or
+    ``<module>`` for a node outside every def."""
+    defs = [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    names = []
+    for node in ast.walk(tree):
+        if test(node):
+            # ast.walk is breadth-first, so the last def around a node is its innermost
+            around = [d.name for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+            names.append(around[-1] if around else "<module>")
+    return names
+
+
+def _names(node, name):
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def test_connectivity_is_decided_in_build_graph():
+    # build_graph refuses a disconnected graph, so every Graph is connected
+    # and nothing downstream tests it again; generate tests each draw before
+    # building it, and pinv_from_eigen's check counts near-zero eigenvalues
+    calls, raises = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        calls += [f"{path.stem}.{name}" for name in _defs_around(
+            tree, lambda node: isinstance(node, ast.Call) and _names(node.func, "is_connected"))]
+        raises += [f"{path.stem}.{name}" for name in _defs_around(
+            tree, lambda node: isinstance(node, ast.Raise) and node.exc is not None
+            and _names(getattr(node.exc, "func", node.exc), "Disconnected"))]
+    assert sorted(calls) == ["generators.generate", "graph.build_graph"], calls
+    assert raises and all(r.startswith("graph.") or r == "spectral.pinv_from_eigen"
+                          for r in raises), raises
+
+
 def test_only_datasets_reads_the_environment():
     # the data directory is named in one place, $KERNELBENCH_DATA in datasets.py
     readers = []

@@ -3,7 +3,8 @@
 
     python scripts/design_counts.py
 
-* src_lines, test_lines: lines in the library's `src/` and in `tests/*.py`;
+* src_lines, test_lines: lines in the library's `src/` (its Python and C
+  files) and in `tests/*.py`;
 * defaulted_parameters: parameters with a default value, counted with `ast`
   over each `def` in `src/` (positional and keyword-only alike);
 * settable_kind_keys: the (kind, key) pairs a config can set, from
@@ -44,7 +45,7 @@ def _defaulted_parameters(paths) -> int:
 def counts() -> dict[str, int]:
     src = sorted((ROOT / "src").rglob("*.py"))
     return {
-        "src_lines": _lines(src),
+        "src_lines": _lines(src + sorted((ROOT / "src").rglob("*.c"))),
         "test_lines": _lines(sorted((ROOT / "tests").glob("*.py"))),
         "defaulted_parameters": _defaulted_parameters(src),
         "settable_kind_keys": sum(len(keys) for keys in KIND_KEYS.values()),

@@ -6,24 +6,66 @@ TIE_TOL of the minimal cost are broken toward the lexicographically smallest
 slot pair, where a cluster's slot is the smallest original node index it
 contains; this makes the merge sequence fully deterministic.
 
-``ward_cuts`` is the one Ward body and runs a stack of matrices at once.
-The public ``ward_linkage`` and ``ward_cluster`` take matrices from outside
-the program, so they check them with ``_checked_sqdist`` and run a stack of
-one.
+``ward_cuts`` is the one Ward body and runs a stack of matrices at once;
+its step loop is the C function in ``_ward.c``, which importing this module
+builds once per source version into the package's ``__pycache__`` and loads
+with ``ctypes``.  The public ``ward_linkage`` and ``ward_cluster`` take
+matrices from outside the program, so they check them with
+``_checked_sqdist`` and run a stack of one.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import subprocess
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidK, LengthMismatch, MalformedDistance
 from .families import NEG_TOL
+from .generators import is_integer
 
 # Merge costs closer than this are considered tied; the lexicographically
 # smallest (i, j) slot pair wins.
 TIE_TOL = 1e-12
+
+_SOURCE = Path(__file__).with_name("_ward.c")
+# No contraction into FMA and no fast-math: every operation rounds as numpy's.
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _built_library() -> Path:
+    """``_ward.c`` compiled into the package's ``__pycache__``, under a name
+    taken from the SHA-256 of the source and the flags; built by ``cc`` only
+    if it is not there yet.  A failed build raises ImportError with the
+    compiler command and its stderr."""
+    digest = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_FLAGS).encode()).hexdigest()
+    library = _SOURCE.with_name("__pycache__") / f"_ward-{digest[:16]}.so"
+    if library.exists():
+        return library
+    # a name of this process's own, so concurrent builds do not collide
+    partial = library.with_name(f"{library.name}.{os.getpid()}.tmp")
+    command = ["cc", *_FLAGS, "-o", str(partial), str(_SOURCE)]
+    try:
+        library.parent.mkdir(exist_ok=True)
+        built = subprocess.run(command, capture_output=True, text=True)
+    except OSError as exc:
+        raise ImportError(f"cannot build Ward's step loop: {' '.join(command)}\n{exc}") from exc
+    if built.returncode != 0:
+        partial.unlink(missing_ok=True)
+        raise ImportError(f"cannot build Ward's step loop: {' '.join(command)}\n{built.stderr}")
+    os.replace(partial, library)
+    return library
+
+
+_ward_body = ctypes.CDLL(str(_built_library())).ward_cuts
+_ward_body.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_double]
+                       + [ctypes.c_void_p] * 4)
+_ward_body.restype = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +124,7 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
     the smaller, so the labels are numbered as ``ward_cuts`` numbers them.
     """
     n = dendrogram.n
-    if not (1 <= k <= n):
-        raise InvalidK(f"need 1 <= k <= {n}, got {k}")
+    k = _checked_k(k, n)
     parent = np.arange(n)
     smallest = list(range(n))  # by id
     for a, b in dendrogram.merges[:n - k, :2].astype(np.int64).tolist():
@@ -91,6 +132,19 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
         parent[hi] = lo
         smallest.append(lo)
     return Partition(_cut_labels(parent[None])[0], k)
+
+
+def _checked_k(k, n: int) -> int:
+    """``k`` as an int if it is an integer (``is_integer``) in [1, n]; else InvalidK."""
+    if not is_integer(k):
+        raise InvalidK(f"k must be an integer, got {k!r}")
+    if not (1 <= k <= n):
+        raise InvalidK(f"need 1 <= k <= {n}, got {k}")
+    return int(k)
+
+
+def _writable_c(array: np.ndarray) -> bool:
+    return array.flags.c_contiguous and array.flags.writeable
 
 
 def _cut_labels(parent: np.ndarray) -> np.ndarray:
@@ -114,99 +168,46 @@ def ward_cuts(stack: np.ndarray, k: int, merges: np.ndarray | None = None) -> np
     enforces); it is overwritten.  Returns the (B, n) labels of the
     partition left after n - k merges, clusters numbered by their smallest
     node, as ``cut_dendrogram(ward_linkage(m), k)`` numbers them.  If
-    ``merges`` is a (B, n - k, 4) array, it receives each matrix's
-    (id_a, id_b, merge_cost, new_size) rows, ids in the usual linkage
-    convention: originals 0..n-1, the cluster made at step s gets id n+s.
-    Costs are within-cluster variance increases (singleton pairs start at
-    sqdist/2).
+    ``merges`` is a C-contiguous float64 (B, n - k, 4) array, it receives
+    each matrix's (id_a, id_b, merge_cost, new_size) rows, ids in the usual
+    linkage convention: originals 0..n-1, the cluster made at step s gets id
+    n+s.  Costs are within-cluster variance increases (singleton pairs
+    start at sqdist/2).
 
-    A cluster lives in the slot of its smallest node; a dead slot's column
-    holds inf.  Each step merges the first slot pair (a, b), a < b, in
-    row-major order whose cost is within TIE_TOL of the least, and updates
-    row and column a by the Lance-Williams formula, elementwise.  Every row
-    caches its least cost over the whole row (Muellner, arXiv:1109.2378,
-    the generic algorithm), and only the value, not its column.  A step
-    takes row a's least from its new entries and rescans each row whose
-    least equalled its old entry at a or b while its new entry at a is
-    larger; every other row keeps the lesser of its least and its new entry
-    at a.  The first row whose least is within the bound is a: a pair
-    (i, j) within it, i < j, puts both rows i and j at or after a.  For the
-    same reason no entry of row a left of the diagonal is within the bound,
-    so b is the first column of row a that is.  When the live slots fall
-    to half the width, the stack is compacted to them, in order, so the tie
-    rule still reads row-major order; ``node`` maps each slot back to its
-    cluster's smallest node.
+    The steps run in ``_ward.c``, one matrix at a time.  A cluster lives in
+    the slot of its smallest node; a dead slot's column holds inf.  Each
+    step merges the first slot pair (a, b), a < b, in row-major order whose
+    cost is within TIE_TOL of the least, and updates row and column a by the
+    Lance-Williams formula, elementwise and left to right:
+    ((na + s) * wa + (nb + s) * wb - s * cost) / (ns + s).  Every row caches
+    its least cost over the whole row (Muellner, arXiv:1109.2378, the
+    generic algorithm), and only the value, not its column.  A step takes
+    row a's least from its new entries and rescans each row whose least
+    equalled its old entry at a or b while its new entry at a is larger;
+    every other row keeps the lesser of its least and its new entry at a.
+    The first row whose least is within the bound is a: a pair (i, j) within
+    it, i < j, puts both rows i and j at or after a.  For the same reason no
+    entry of row a left of the diagonal is within the bound, so b is the
+    first column of row a that is.  Every least follows ``np.minimum`` (a
+    NaN wins), and a search that finds nothing within the bound takes slot
+    0, as ``np.argmax`` does.
     """
-    count, n, _ = stack.shape
-    if not (1 <= k <= n):
-        raise InvalidK(f"need 1 <= k <= {n}, got {k}")
-    if stack.dtype != np.float64 or not stack.flags.c_contiguous:
-        raise ValueError("ward_cuts needs a C-contiguous float64 stack")
-    w = stack
-    np.divide(w, 2.0, out=w)
-    nodes = np.arange(n)
-    w[:, nodes, nodes] = np.inf
-    batch = np.arange(count)
-    row_min = w.min(axis=2)
-    # Cluster sizes as floats: exact, and the Lance-Williams products then
-    # need no integer-to-float casts.
-    sizes = np.ones((count, n))
-    node = np.tile(nodes, (count, 1))
-    ids = node.copy()
-    parent = node.copy()  # by node, not by slot
-    width = n
-    rows = w.reshape(count * width, width)
-    base = batch * width
-    upd, term = np.empty((count, width)), np.empty((count, width))
-    for step in range(n - k):
-        bound = row_min.min(axis=1) + TIE_TOL
-        a = np.argmax(row_min <= bound[:, None], axis=1)
-        wa = rows[base + a]
-        b = np.argmax(wa <= bound[:, None], axis=1)
-        wb = rows[base + b]
-        cost = wa[batch, b]
-        na = sizes[batch, a][:, None]
-        nb = sizes[batch, b][:, None]
-        ns = na + nb
-        # ((na + sizes) * wa + (nb + sizes) * wb - sizes * cost) / (ns + sizes),
-        # in that order; inf wherever wa or wb is: at a, at b and in dead columns
-        np.multiply(np.add(na, sizes, out=upd), wa, out=upd)
-        upd += np.multiply(np.add(nb, sizes, out=term), wb, out=term)
-        upd -= np.multiply(sizes, cost[:, None], out=term)
-        upd /= np.add(ns, sizes, out=term)
-        # A row's least must be found again only if it sat at a or b (it is
-        # at most both, so it sat there iff it equals their lesser) and the
-        # merge raised it; otherwise it is the lesser of it and upd.  Row a
-        # becomes upd; row b dies below.
-        rescan = (np.minimum(wa, wb, out=term) == row_min) & (upd > row_min)
-        rescan[batch, a] = rescan[batch, b] = False
-        np.minimum(row_min, upd, out=row_min)
-        row_min[batch, a] = upd.min(axis=1)
-        rows[base + a] = upd
-        w[batch, :, a] = upd
-        w[batch, :, b] = np.inf
-        stale = np.flatnonzero(rescan)
-        row_min.reshape(-1)[stale] = rows[stale].min(axis=1)
-        row_min[batch, b] = np.inf
-        sizes[batch, a] = ns[:, 0]
-        parent[batch, node[batch, b]] = node[batch, a]
-        if merges is not None:
-            merges[:, step, 0] = ids[batch, a]
-            merges[:, step, 1] = ids[batch, b]
-            merges[:, step, 2] = cost
-            merges[:, step, 3] = ns[:, 0]
-            ids[batch, a] = n + step
-        live = n - 1 - step
-        if 2 * live <= width and step + 1 < n - k:
-            alive = np.take_along_axis(parent, node, axis=1) == node
-            keep = np.nonzero(alive)[1].reshape(count, live)
-            w = w[batch[:, None, None], keep[:, :, None], keep[:, None, :]]
-            row_min, sizes, node, ids = (np.take_along_axis(x, keep, axis=1)
-                                         for x in (row_min, sizes, node, ids))
-            width = live
-            rows = w.reshape(count * width, width)
-            base = batch * width
-            upd, term = np.empty((count, width)), np.empty((count, width))
+    if stack.dtype != np.float64 or stack.ndim != 3 or not _writable_c(stack):
+        raise ValueError("ward_cuts needs a writable C-contiguous float64 stack")
+    count, n, width = stack.shape
+    if width != n:
+        raise ValueError(f"ward_cuts needs square matrices, got {stack.shape}")
+    k = _checked_k(k, n)
+    if merges is not None and (merges.dtype != np.float64 or not _writable_c(merges)
+                               or merges.shape != (count, n - k, 4)):
+        raise ValueError(f"merges must be a writable C-contiguous float64 "
+                         f"{(count, n - k, 4)} array")
+    parent = np.empty((count, n), dtype=np.int64)
+    scratch = np.empty(3 * n)
+    ids = np.empty(n, dtype=np.int64)
+    _ward_body(stack.ctypes.data, count, n, n - k, TIE_TOL,
+               None if merges is None else merges.ctypes.data, parent.ctypes.data,
+               scratch.ctypes.data, ids.ctypes.data)
     return _cut_labels(parent)
 
 

@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import active_children, parent_process
+from numbers import Real
 
 import numpy as np
 
@@ -282,14 +283,18 @@ def _checked_inputs(families, grid, n_graphs, workers) -> tuple[list, np.ndarray
     """A protocol call's families as a list and its grid as float64.  An
     unknown family raises NotFound, and a graph or worker count that
     ``checked_count`` refuses, or a grid that is not a nonempty 1-D array of
-    points in [0, 1], ParameterOutOfRange, before any graph is made or any
-    job runs."""
+    real points in [0, 1], ParameterOutOfRange, before any graph is made or
+    any job runs.  A bool or a string is not a real point."""
     families = list(families)
     for name in families:
         family(name)
     checked_count("graphs", n_graphs)
     checked_count("workers", workers)
-    grid = np.asarray(grid, dtype=np.float64)
+    points = np.asarray(grid, dtype=object)
+    for point in points.flat:
+        if not isinstance(point, Real) or isinstance(point, bool):
+            raise ParameterOutOfRange(f"grid points must be real numbers, got {point!r}")
+    grid = points.astype(np.float64)
     if grid.ndim != 1:
         raise ParameterOutOfRange(f"a protocol grid must be one-dimensional, got shape {grid.shape}")
     if grid.size == 0:

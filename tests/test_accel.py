@@ -1,12 +1,17 @@
 """Ward's deterministic tie rule, and the batched Ward body ``clustering.ward_cuts``
 against a full-triangle reference loop."""
 
+import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kernelbench import build_graph, cut_dendrogram, shortest_path_matrix, ward_linkage
+from kernelbench import build_graph, clustering, cut_dendrogram, shortest_path_matrix, ward_linkage
 from kernelbench.clustering import TIE_TOL, Dendrogram, _checked_sqdist, ward_cuts
 from kernelbench.measures import FamilyEvaluator
 from kernelbench.transforms import clustering_sqdist
@@ -137,6 +142,39 @@ class TestBatchedWard:
         with pytest.raises(ValueError):
             ward_cuts(np.zeros((2, 4, 4))[:, ::2, ::2], 1)
 
+    @pytest.mark.parametrize("scale", [2.0 ** -1040, 2.0 ** 1000], ids=["subnormal", "large"])
+    def test_scaled_inputs_match_reference_bit_for_bit(self, scale, rng):
+        # Subnormal entries, and entries whose Lance-Williams products come
+        # near the float range: with no fused multiply-add, no fast-math and
+        # no flush to zero, the C body rounds every operation as the
+        # reference loop's numpy does.
+        for group in (_inputs("random", 6, 17, rng), _tie_heavy_inputs(rng)):
+            inputs = [sq * scale for sq in group]
+            positive = np.concatenate([sq[sq > 0] for sq in inputs])
+            if scale < 1:
+                assert positive.max() < np.finfo(np.float64).tiny
+            n = inputs[0].shape[0]
+            expected = [reference_ward_merges(sq) for sq in inputs]
+            merges = np.empty((len(inputs), n - 1, 4))
+            ward_cuts(np.stack(inputs), 1, merges)
+            assert all(np.array_equal(rows, ref) for rows, ref in zip(merges, expected))
+            for k in (2, 5):
+                cuts = ward_cuts(np.stack(inputs), k)
+                assert all(np.array_equal(cut, cut_dendrogram(Dendrogram(ref, n), k).labels)
+                           for cut, ref in zip(cuts, expected))
+
+    def test_rejects_arrays_the_c_body_cannot_take(self):
+        # checked before any pointer reaches the C body
+        read_only = np.zeros((2, 4, 4))
+        read_only.flags.writeable = False
+        for stack in (np.zeros((2, 4, 3)), np.zeros((4, 4)), read_only):
+            with pytest.raises(ValueError, match="ward_cuts needs"):
+                ward_cuts(stack, 1)
+        for merges in (np.empty((2, 2, 4)), np.empty((1, 3, 4)),
+                       np.empty((2, 3, 4), dtype=np.float32), np.empty((2, 4, 3)).transpose(0, 2, 1)):
+            with pytest.raises(ValueError, match="merges must be"):
+                ward_cuts(np.zeros((2, 4, 4)), 1, merges)
+
 
 def _ring_of_cliques(cliques, size):
     """``cliques`` cliques of ``size`` nodes; the last node of each is joined
@@ -196,3 +234,40 @@ class TestCompaction:
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * stack.nbytes
+
+
+class TestBuild:
+    """``clustering`` builds ``_ward.c`` at import, once per source version."""
+
+    def test_a_second_import_loads_the_cached_library(self):
+        library = clustering._built_library()
+        assert library.parent == Path(clustering.__file__).with_name("__pycache__")
+        before = library.stat()
+        src = Path(clustering.__file__).parents[1]
+        subprocess.run([sys.executable, "-c", "import kernelbench.clustering"], check=True,
+                       timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        after = library.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert not list(library.parent.glob(library.name + ".*.tmp"))
+
+    @pytest.mark.parametrize("fault", ["no compiler", "a source cc refuses"])
+    def test_a_failed_build_is_an_import_error(self, fault, tmp_path):
+        package = tmp_path / "kernelbench"
+        shutil.copytree(Path(clustering.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        if fault == "no compiler":
+            (tmp_path / "bin").mkdir()
+            env["PATH"] = str(tmp_path / "bin")
+            reason = "No such file or directory: 'cc'"
+        else:
+            with open(package / "_ward.c", "a") as source:
+                source.write("#error not this version\n")
+            reason = "#error not this version"
+        done = subprocess.run([sys.executable, "-c", "import kernelbench"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode != 0
+        assert ("ImportError: cannot build Ward's step loop: "
+                "cc -O2 -ffp-contract=off -fPIC -shared -o ") in done.stderr
+        assert reason in done.stderr
+        assert not list((package / "__pycache__").glob("_ward-*"))

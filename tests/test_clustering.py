@@ -11,7 +11,7 @@ from kernelbench import (
     ward_linkage,
 )
 from kernelbench.acceptance import ari_pair_oracle, ward_merge_oracle
-from kernelbench.clustering import adjusted_rand_indices
+from kernelbench.clustering import adjusted_rand_indices, ward_cuts
 from kernelbench.errors import InvalidK, LengthMismatch, MalformedDistance
 
 
@@ -103,6 +103,13 @@ class TestWardCluster:
         for k in (0, 5):
             with pytest.raises(InvalidK, match=f"need 1 <= k <= 4, got {k}"):
                 cut_dendrogram(ward_linkage(sq), k)
+        # k follows the count rule: an integer, numpy's too, that is not a bool
+        for k in (2.5, 2.0, np.float64(2), True, "2"):
+            for cut in (lambda: ward_cluster(sq, k), lambda: ward_cuts(sq[None].copy(), k),
+                        lambda: cut_dendrogram(ward_linkage(sq), k)):
+                with pytest.raises(InvalidK, match="k must be an integer, got "):
+                    cut()
+        assert np.array_equal(ward_cluster(sq, np.int64(2)).labels, ward_cluster(sq, 2).labels)
 
     def test_malformed_inputs(self):
         with pytest.raises(MalformedDistance):

@@ -239,6 +239,10 @@ class TestProtocolCall:
         (("Heat", "SP-CT"), [-0.2], 2, ParameterOutOfRange),
         (("Heat",), np.full((2, 2), 0.5), 2, ParameterOutOfRange),
         (("Heat",), 0.5, 2, ParameterOutOfRange),
+        # a point is a real number: numpy would read "0.5" as 0.5 and True as 1.0
+        (("Heat",), ["0.5"], 2, ParameterOutOfRange),
+        (("Heat",), [True, 0.5], 2, ParameterOutOfRange),
+        (("Heat",), ["a"], 2, ParameterOutOfRange),
     ])
     def test_inputs_refused_before_any_graph(self, generated, protocol, families, grid,
                                              n_graphs, error):
